@@ -21,8 +21,6 @@
 #include "pipe/optimizer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/programs.hpp"
-#include "solve/parallel_jacobi.hpp"
-#include "solve/pipelined_executor.hpp"
 #include "svc/service.hpp"
 
 namespace {
@@ -145,36 +143,39 @@ void BM_SimulatedPhase(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedPhase)->Arg(5)->Arg(7)->Arg(9);
 
-void BM_InlineSolve(benchmark::State& state) {
+// One-shot solves: each iteration compiles a plan around a prebuilt d4
+// ordering and solves once, so the per-solve plan cost stays in the timing.
+void one_shot_solve(benchmark::State& state, jmh::api::SolverSpec spec) {
   const auto m = static_cast<std::size_t>(state.range(0));
   jmh::Xoshiro256 rng(7);
   const jmh::la::Matrix a = jmh::la::random_uniform_symmetric(m, rng);
   const jmh::ord::JacobiOrdering ordering(jmh::ord::OrderingKind::Degree4, 2);
+  spec.m = m;
+  spec.d = 2;
+  spec.ordering = jmh::ord::OrderingKind::Degree4;
   for (auto _ : state)
-    benchmark::DoNotOptimize(jmh::solve::solve_inline(a, ordering));
+    benchmark::DoNotOptimize(jmh::api::Solver::plan(spec, ordering).solve(a));
+}
+
+void BM_InlineSolve(benchmark::State& state) {
+  one_shot_solve(state, {});
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InlineSolve)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_MpiSolve(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  jmh::Xoshiro256 rng(7);
-  const jmh::la::Matrix a = jmh::la::random_uniform_symmetric(m, rng);
-  const jmh::ord::JacobiOrdering ordering(jmh::ord::OrderingKind::Degree4, 2);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(jmh::solve::solve_mpi(a, ordering));
+  jmh::api::SolverSpec spec;
+  spec.backend = jmh::api::Backend::MpiLite;
+  one_shot_solve(state, spec);
 }
 BENCHMARK(BM_MpiSolve)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_MpiSolvePipelined(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  jmh::Xoshiro256 rng(7);
-  const jmh::la::Matrix a = jmh::la::random_uniform_symmetric(m, rng);
-  const jmh::ord::JacobiOrdering ordering(jmh::ord::OrderingKind::Degree4, 2);
-  jmh::solve::PipelinedSolveOptions opts;
-  opts.q = 4;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(jmh::solve::solve_mpi_pipelined(a, ordering, opts));
+  jmh::api::SolverSpec spec;
+  spec.backend = jmh::api::Backend::MpiLite;
+  spec.pipelining = jmh::api::PipeliningPolicy::Fixed;
+  spec.q = 4;
+  one_shot_solve(state, spec);
 }
 BENCHMARK(BM_MpiSolvePipelined)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
@@ -182,7 +183,7 @@ BENCHMARK(BM_MpiSolvePipelined)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond)
 // The facade exists to amortize expensive setup (ordering sequences, sweep
 // schedule, auto pipelining degree) across many solves. These three cases
 // price that claim: building a plan, solving with a reused plan, and
-// rebuilding the plan for every solve (what the legacy free functions do).
+// rebuilding the plan for every solve (Solver::solve, the one-shot call).
 
 void BM_PlanConstruction(benchmark::State& state) {
   // MinAlpha is the expensive ordering (backtracking sequence search);

@@ -1,5 +1,4 @@
-// SolveReport: the one result type of the api facade. Subsumes the legacy
-// per-executor results (solve::DistributedResult, solve::SimSolveResult):
+// SolveReport: the one result type of the api facade, for every backend:
 // eigenpairs and convergence counters always, mpi_lite traffic counters for
 // the MpiLite backend, and the modeled-time / link-utilization section for
 // the Sim backend -- so callers switch backends without switching result
@@ -38,7 +37,7 @@ std::string to_string(SolveStatus status);
 
 /// The typed failure of the api/svc surface: carries its SolveStatus so
 /// callers dispatch on taxonomy, not on what() substrings. Derives from
-/// std::runtime_error, so legacy catch sites keep working.
+/// std::runtime_error, so generic catch sites keep working.
 class SolveError : public std::runtime_error {
  public:
   SolveError(SolveStatus status, const std::string& what)

@@ -1,49 +1,142 @@
 #include "api/solver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
+#include <numeric>
+#include <thread>
 #include <utility>
 
 #include "api/task_adapter.hpp"
 #include "common/assert.hpp"
 #include "exec/thread_pool.hpp"
+#include "la/svd.hpp"
 #include "obs/trace.hpp"
 #include "pipe/optimizer.hpp"
 #include "solve/fault_injection.hpp"
 #include "solve/inline_transport.hpp"
 #include "solve/mpi_transport.hpp"
-#include "solve/parallel_jacobi.hpp"
 #include "solve/sim_transport.hpp"
 #include "solve/sweep_engine.hpp"
-// Sanctioned upward include (svc sits above api in the layer graph, see
-// ARCHITECTURE.md): solve_batch delegates to the service layer's pool so
-// batch solves run in parallel while staying bit-identical per matrix.
-#include "svc/service.hpp"
 
 namespace jmh::api {
 
 namespace {
 
-/// Moves the executor-agnostic solution fields into a report.
-void fill_solution(SolveReport& report, solve::DistributedResult&& dr) {
-  report.eigenvalues = std::move(dr.eigenvalues);
-  report.eigenvectors = std::move(dr.eigenvectors);
-  report.sweeps = dr.sweeps;
-  report.converged = dr.converged;
-  report.rotations = dr.rotations;
-  report.comm = dr.comm;
+/// Normalizes a topk selection: sorted ascending, validated unique and in
+/// range. Ascending matters for bit-parity -- a selection covering every
+/// column becomes exactly the iota permutation the full assembly sorts.
+std::vector<std::size_t> sorted_selection(const std::vector<std::size_t>& leading,
+                                          std::size_t num_cols) {
+  std::vector<std::size_t> sel = leading;
+  std::sort(sel.begin(), sel.end());
+  JMH_REQUIRE(!sel.empty() && sel.back() < num_cols, "leading selection out of range");
+  JMH_REQUIRE(std::adjacent_find(sel.begin(), sel.end()) == sel.end(),
+              "leading selection has duplicate columns");
+  return sel;
 }
 
-/// Same for a task=svd run: V rides in the eigenvectors slot (see
-/// SolveReport), sigma and U in their own fields.
-void fill_svd_solution(SolveReport& report, solve::SvdSolveResult&& sr) {
-  report.singular_values = std::move(sr.singular_values);
-  report.u = std::move(sr.u);
-  report.eigenvectors = std::move(sr.v);
-  report.sweeps = sr.sweeps;
-  report.converged = sr.converged;
-  report.rotations = sr.rotations;
-  report.comm = sr.comm;
+/// Reassembles the final blocks, which must jointly cover all b.cols()
+/// columns, into the working pair: B (rows x cols) and V (cols x cols).
+void gather_blocks(const std::vector<solve::ColumnBlock>& blocks, la::Matrix& b, la::Matrix& v) {
+  const std::size_t rows = b.rows();
+  const std::size_t cols = b.cols();
+  std::vector<char> seen(cols, 0);
+  for (const auto& blk : blocks) {
+    JMH_REQUIRE(blk.rows == rows && blk.vrows == cols, "block row count mismatch");
+    for (std::size_t i = 0; i < blk.num_cols(); ++i) {
+      const std::size_t col = blk.cols[i];
+      JMH_REQUIRE(col < cols && !seen[col], "column coverage violation in final blocks");
+      seen[col] = 1;
+      std::copy_n(blk.b.begin() + static_cast<std::ptrdiff_t>(i * rows), rows,
+                  b.col(col).begin());
+      std::copy_n(blk.v.begin() + static_cast<std::ptrdiff_t>(i * cols), cols,
+                  v.col(col).begin());
+    }
+  }
+  JMH_REQUIRE(std::all_of(seen.begin(), seen.end(), [](char c) { return c != 0; }),
+              "final blocks do not cover every column");
+}
+
+/// Eigenpairs of an m x m run: lambda_k = v_k . b_k, sorted ascending. A
+/// non-empty @p leading (EngineResult::leading of a topk run) restricts the
+/// output to those columns. The comparator and the ascending starting
+/// permutation are the same for both, so a selection of every column
+/// reproduces the full assembly bit-for-bit, order included.
+void assemble_eigen(SolveReport& report, const std::vector<solve::ColumnBlock>& blocks,
+                    std::size_t m, const std::vector<std::size_t>& leading) {
+  la::Matrix b(m, m);
+  la::Matrix v(m, m);
+  gather_blocks(blocks, b, v);
+
+  std::vector<std::size_t> order;
+  if (leading.empty()) {
+    order.resize(m);
+    std::iota(order.begin(), order.end(), 0);
+  } else {
+    order = sorted_selection(leading, m);
+  }
+  std::vector<double> lambda(m);
+  for (std::size_t col : order) lambda[col] = la::dot(v.col(col), b.col(col));
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t x, std::size_t y) { return lambda[x] < lambda[y]; });
+
+  const std::size_t k_out = order.size();
+  report.eigenvalues.resize(k_out);
+  report.eigenvectors = la::Matrix(m, k_out);
+  for (std::size_t k = 0; k < k_out; ++k) {
+    report.eigenvalues[k] = lambda[order[k]];
+    const auto src = v.col(order[k]);
+    std::copy(src.begin(), src.end(), report.eigenvectors.col(k).begin());
+  }
+}
+
+/// Singular triplets of a rows x cols run through la::svd_from_bv, so every
+/// backend collecting the same blocks produces bit-identical results. V
+/// rides in the eigenvectors slot (see SolveReport). @p leading as in
+/// assemble_eigen: a proper subset yields the truncated factorization,
+/// sigma-descending with svd_from_bv's index tie-break; a selection of
+/// every column routes through svd_from_bv itself.
+void assemble_svd(SolveReport& report, const std::vector<solve::ColumnBlock>& blocks,
+                  std::size_t rows, std::size_t cols, const std::vector<std::size_t>& leading) {
+  la::Matrix b(rows, cols);
+  la::Matrix v(cols, cols);
+  gather_blocks(blocks, b, v);
+
+  if (leading.empty() || leading.size() == cols) {
+    if (!leading.empty()) sorted_selection(leading, cols);  // validate only
+    la::SvdResult full = la::svd_from_bv(b, v);
+    report.singular_values = std::move(full.singular_values);
+    report.u = std::move(full.u);
+    report.eigenvectors = std::move(full.v);
+    return;
+  }
+  // sel is ascending, so position order == global-id order for the ties.
+  const std::vector<std::size_t> sel = sorted_selection(leading, cols);
+  const std::size_t k_out = sel.size();
+  std::vector<double> sigma(k_out);
+  for (std::size_t i = 0; i < k_out; ++i) sigma[i] = la::norm2(b.col(sel[i]));
+  std::vector<std::size_t> order(k_out);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return sigma[x] != sigma[y] ? sigma[x] > sigma[y] : x < y;
+  });
+  report.singular_values.resize(k_out);
+  report.u = la::Matrix(rows, k_out);
+  report.eigenvectors = la::Matrix(cols, k_out);
+  for (std::size_t k = 0; k < k_out; ++k) {
+    const std::size_t src = sel[order[k]];
+    const double s = sigma[order[k]];
+    report.singular_values[k] = s;
+    const auto bcol = b.col(src);
+    auto ucol = report.u.col(k);
+    if (s > 0.0)
+      for (std::size_t r = 0; r < bcol.size(); ++r) ucol[r] = bcol[r] / s;
+    const auto vcol = v.col(src);
+    std::copy(vcol.begin(), vcol.end(), report.eigenvectors.col(k).begin());
+  }
 }
 
 }  // namespace
@@ -110,20 +203,20 @@ SolveReport SolvePlan::solve_prepared(const la::Matrix& a,
 
   // The sweep protocol is task-agnostic (it orthogonalizes columns either
   // way); only the extraction from the final blocks differs, and which of
-  // the two extractions a task consumes is the adapter's CoreKind.
-  const bool svd = adapter_->core_kind() == CoreKind::Svd;
-  const auto assemble = [&](std::vector<solve::ColumnBlock> blocks,
+  // the two extractions a task consumes is the adapter's CoreKind. Every
+  // backend funnels its final blocks through this one assembly.
+  const auto assemble = [&](const std::vector<solve::ColumnBlock>& blocks,
                             const solve::EngineResult& er) {
     const obs::SpanScope span("assemble", obs::Category::kAssembly,
                               static_cast<std::uint64_t>(a.cols()),
                               opts.timing != nullptr ? &opts.timing->assembly_ns : nullptr);
-    if (svd)
-      fill_svd_solution(report, solve::assemble_svd_result(std::move(blocks), a.rows(),
-                                                           a.cols(), er.sweeps, er.converged,
-                                                           er.rotations, er.leading));
+    if (adapter_->core_kind() == CoreKind::Svd)
+      assemble_svd(report, blocks, a.rows(), a.cols(), er.leading);
     else
-      fill_solution(report, solve::assemble_result(std::move(blocks), a.rows(), er.sweeps,
-                                                   er.converged, er.rotations, er.leading));
+      assemble_eigen(report, blocks, a.rows(), er.leading);
+    report.sweeps = er.sweeps;
+    report.converged = er.converged;
+    report.rotations = er.rotations;
   };
 
   // Single-owner backends wrap their transport in the fault decorator only
@@ -153,20 +246,17 @@ SolveReport SolvePlan::solve_prepared(const la::Matrix& a,
     }
     case Backend::MpiLite: {
       report.pipelining_q = q_;
-      if (svd)
-        fill_svd_solution(report, solve::solve_mpi_svd_like(a, ordering_, opts, q_));
-      else
-        fill_solution(report, solve::solve_mpi_like(a, ordering_, opts, q_));
+      const solve::MpiRunOutcome run = solve::run_mpi_protocol(a, ordering_, opts, q_);
+      assemble(run.blocks, run.engine);
+      report.comm = run.comm;
       break;
     }
     case Backend::Sim: {
       report.pipelining_q = q_;
-      solve::SimSolveOptions sopts;
-      static_cast<solve::SolveOptions&>(sopts) = opts;
-      sopts.machine = spec_.machine;
-      sopts.overlap_startup = spec_.overlap_startup;
-      sopts.pipelined_q = q_;
-      solve::SimTransport transport(a, spec_.d, sopts);
+      sim::SimConfig config;
+      config.machine = spec_.machine;
+      config.overlap_startup = spec_.overlap_startup;
+      solve::SimTransport transport(a, spec_.d, config, q_);
       const solve::EngineResult er = run_engine(transport);
       assemble(transport.collect_blocks(), er);
       report.has_model = true;
@@ -186,7 +276,6 @@ SolveReport SolvePlan::solve(const la::Matrix& a, const SolveOverrides& override
   adapter_->check_input(spec_, a);
 
   solve::SolveOptions opts = spec_.solve_options();
-  opts.gershgorin_shift = false;  // the evd adapter's prepare unwraps it
   opts.cancel = overrides.cancel;
   // The deadline is relative to THIS call, chained under any caller token:
   // whichever fires first decides the status.
@@ -232,7 +321,53 @@ SolveReport SolvePlan::solve(const la::Matrix& a, const SolveOverrides& override
 }
 
 std::vector<SolveReport> SolvePlan::solve_batch(const std::vector<la::Matrix>& as) const {
-  return svc::solve_batch_parallel(*this, as);
+  std::vector<SolveReport> reports(as.size());
+  if (as.empty()) return reports;
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t executors = std::min<std::size_t>(hw > 0 ? hw : 2, as.size());
+
+  // Error semantics must not depend on the executor count (it varies by
+  // machine): every matrix is attempted, and the exception rethrown is the
+  // LOWEST-INDEX failure, not whichever finished first in wall-clock.
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  std::size_t first_error_index = as.size();
+  // Executors drain a shared index, so a late-starting one (busy pool) just
+  // finds it exhausted and no-ops -- the caller's own run() guarantees every
+  // matrix is attempted even if no pool worker ever frees up.
+  std::atomic<std::size_t> next{0};
+  const auto run = [&] {
+    for (std::size_t i = next.fetch_add(1); i < as.size(); i = next.fetch_add(1)) {
+      try {
+        reports[i] = solve(as[i]);
+      } catch (...) {
+        const std::lock_guard lock(error_mu);
+        if (i < first_error_index) {
+          first_error_index = i;
+          first_error = std::current_exception();
+        }
+      }
+    }
+  };
+
+  if (executors <= 1) {
+    run();
+  } else if (exec::ThreadPool::enabled()) {
+    // The caller plus executors-1 tasks on the shared pool; the helping
+    // wait makes nested batches (a batch item submitting a batch) safe.
+    exec::ThreadPool::TaskGroup group = exec::ThreadPool::global().group();
+    for (std::size_t t = 1; t < executors; ++t) group.add(run);
+    run();
+    group.wait();
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(executors - 1);
+    for (std::size_t t = 1; t < executors; ++t) threads.emplace_back(run);
+    run();
+    for (std::thread& t : threads) t.join();
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return reports;
 }
 
 SolvePlan Solver::plan(const SolverSpec& spec) {

@@ -15,9 +15,8 @@
 // Transport), which is the hot-path shape the ROADMAP's many-scenario
 // serving target needs.
 //
-// The legacy free functions (solve_inline / solve_mpi / solve_mpi_pipelined
-// / solve_sim) survive as deprecated thin wrappers that build a one-shot
-// plan and delegate here.
+// This is the library's only way to start a solve, and SolveReport is its
+// only result type: every backend's final blocks are assembled here.
 #pragma once
 
 #include <vector>
@@ -77,10 +76,12 @@ class SolvePlan {
   SolveReport solve(const la::Matrix& a, const SolveOverrides& overrides) const;
 
   /// Solves several matrices with one plan (the amortization the facade
-  /// exists for). Runs on the svc layer's transient worker pool, so batch
-  /// throughput scales with cores; each report is bit-identical to a
-  /// sequential solve() of the same matrix, and reports are returned in
-  /// input order.
+  /// exists for). Up to hardware_concurrency() executors -- the caller plus
+  /// tasks on the process-wide exec::ThreadPool (transient threads under
+  /// JMH_EXEC_POOL=off) -- so batch throughput scales with cores; each
+  /// report is bit-identical to a sequential solve() of the same matrix,
+  /// and reports are returned in input order. Every matrix is attempted;
+  /// the exception of the lowest-index failing solve is rethrown.
   std::vector<SolveReport> solve_batch(const std::vector<la::Matrix>& as) const;
 
  private:

@@ -129,7 +129,6 @@ solve::SolveOptions SolverSpec::solve_options() const {
   opts.max_sweeps = max_sweeps;
   opts.stop_rule = stop_rule;
   opts.off_tol = off_tol;
-  opts.gershgorin_shift = gershgorin_shift;
   opts.topk = topk;
   opts.faults = faults;
   // deadline_ms is NOT resolved here: a deadline is relative to solve()

@@ -38,8 +38,8 @@ struct SvdResult {
 /// column index, so the order is deterministic), u_k = b_k / sigma_k (the
 /// zero vector when sigma_k == 0: a rank-deficient column has no defined
 /// left vector). Shared by this sequential driver and the distributed
-/// assembly (solve::assemble_svd_result), which is what makes every backend
-/// produce bit-identical results from the same final blocks.
+/// assembly (api::SolvePlan), which is what makes every backend produce
+/// bit-identical results from the same final blocks.
 SvdResult svd_from_bv(const Matrix& b, const Matrix& v);
 
 /// One-sided Jacobi SVD of a (possibly rectangular) m x n matrix with the

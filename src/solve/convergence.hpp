@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "ord/ordering.hpp"
-#include "solve/parallel_jacobi.hpp"
+#include "solve/transport.hpp"
 
 namespace jmh::solve {
 

@@ -1,7 +1,7 @@
 // InlineTransport: all 2^d nodes owned by one object and executed
 // sequentially in the calling thread. Deterministic (no threads, no message
-// nondeterminism); the substrate behind solve_inline and the numerics base
-// of SimTransport.
+// nondeterminism); the substrate of backend=inline and the numerics base of
+// SimTransport.
 #pragma once
 
 #include "la/matrix.hpp"

@@ -1,11 +1,13 @@
 #include "solve/mpi_transport.hpp"
 
+#include <mutex>
 #include <utility>
 
 #include "common/alloc_guard.hpp"
 #include "common/assert.hpp"
 #include "net/collectives.hpp"
 #include "obs/trace.hpp"
+#include "solve/fault_injection.hpp"
 
 namespace jmh::solve {
 
@@ -121,6 +123,37 @@ std::vector<ColumnBlock> MpiLiteTransport::collect_blocks() {
   const net::Payload mobile = node_.mobile().serialize();
   mine.insert(mine.end(), mobile.begin(), mobile.end());
   return ColumnBlock::deserialize_stream(net::allgatherv(hc_.raw(), mine));
+}
+
+MpiRunOutcome run_mpi_protocol(const la::Matrix& a, const ord::JacobiOrdering& ordering,
+                               const SolveOptions& opts, std::uint64_t q) {
+  net::Universe universe(1 << ordering.dimension());
+  MpiRunOutcome out;
+  std::mutex out_mu;
+  universe.run([&](net::Comm& comm) {
+    MpiLiteTransport transport(comm, a, q);
+    // Faults decorate the real transport per rank; with the plan disabled
+    // the decorator is never built, keeping unfaulted runs bit-identical.
+    EngineResult er;
+    if (opts.faults.enabled()) {
+      FaultInjectingTransport faulty(transport, opts.faults);
+      er = run_sweep_protocol(faulty, ordering, opts);
+    } else {
+      er = run_sweep_protocol(transport, ordering, opts);
+    }
+    // The status came out of the allreduced vote, so every rank takes the
+    // same branch here: all participate in the collect allgatherv, or none.
+    std::vector<ColumnBlock> blocks;
+    if (er.status == RunStatus::Ok) blocks = transport.collect_blocks();
+    if (comm.rank() == 0) {
+      std::lock_guard<std::mutex> lock(out_mu);
+      out.engine = er;
+      out.blocks = std::move(blocks);
+    }
+  });
+  out.comm = universe.stats();
+  if (out.engine.status != RunStatus::Ok) throw SolveInterrupted(out.engine.status);
+  return out;
 }
 
 }  // namespace jmh::solve

@@ -23,8 +23,9 @@
 
 #include "la/matrix.hpp"
 #include "net/hypercube_comm.hpp"
+#include "net/universe.hpp"
 #include "solve/block_layout.hpp"
-#include "solve/parallel_jacobi.hpp"
+#include "solve/sweep_engine.hpp"
 #include "solve/transport.hpp"
 
 namespace jmh::solve {
@@ -75,17 +76,22 @@ class MpiLiteTransport : public Transport {
   ColumnBlock merge_scratch_;
 };
 
-/// Shared executor core of solve_mpi / solve_mpi_pipelined: spins up an
-/// mpi_lite universe and runs the sweep engine over one MpiLiteTransport
-/// endpoint per rank. @p q as in MpiLiteTransport. The Gershgorin shift
-/// must already be unwrapped by the caller.
-DistributedResult solve_mpi_like(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                                 const SolveOptions& opts, std::uint64_t q);
+/// What an mpi_lite run hands back for assembly: rank 0's copy of the full
+/// final block set, the engine outcome every rank agreed on, and the
+/// universe's traffic counters.
+struct MpiRunOutcome {
+  std::vector<ColumnBlock> blocks;
+  EngineResult engine;
+  net::CommStats comm;
+};
 
-/// SVD counterpart of solve_mpi_like: the identical universe + sweep-engine
-/// run over the a.cols() columns of a rectangular @p a, assembled as
-/// singular triplets (assemble_svd_result) instead of eigenpairs.
-SvdSolveResult solve_mpi_svd_like(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                                  const SolveOptions& opts, std::uint64_t q);
+/// The mpi_lite backend: spins up a 2^d-rank universe and runs the sweep
+/// engine over one MpiLiteTransport endpoint per rank (each wrapped in a
+/// FaultInjectingTransport when opts.faults is armed), then allgathers the
+/// final blocks. @p q as in MpiLiteTransport. Works on the a.cols() columns
+/// of @p a, so the same run serves the eigen and SVD assemblies. Throws
+/// SolveInterrupted when the engine stops with a non-Ok status.
+MpiRunOutcome run_mpi_protocol(const la::Matrix& a, const ord::JacobiOrdering& ordering,
+                               const SolveOptions& opts, std::uint64_t q);
 
 }  // namespace jmh::solve

@@ -1,22 +1,10 @@
 #include "solve/sim_transport.hpp"
 
-#include <utility>
-
-#include "common/assert.hpp"
 #include "sim/programs.hpp"
-#include "solve/legacy_bridge.hpp"
-#include "solve/sweep_engine.hpp"
 
 namespace jmh::solve {
 
 namespace {
-
-sim::SimConfig make_config(const SimSolveOptions& opts) {
-  sim::SimConfig config;
-  config.machine = opts.machine;
-  config.overlap_startup = opts.overlap_startup;
-  return config;
-}
 
 /// Elements of the B and V columns a block ships (headers excluded: the
 /// machine model charges matrix data, matching pipe::ProblemParams). For
@@ -28,8 +16,9 @@ double block_elems(const ColumnBlock& blk) {
 
 }  // namespace
 
-SimTransport::SimTransport(const la::Matrix& a, int d, const SimSolveOptions& opts)
-    : InlineTransport(a, d), network_(d, make_config(opts)), pipelined_q_(opts.pipelined_q) {}
+SimTransport::SimTransport(const la::Matrix& a, int d, const sim::SimConfig& config,
+                           std::uint64_t q)
+    : InlineTransport(a, d), network_(d, config), q_(q) {}
 
 void SimTransport::apply_transition(const ord::Transition& t, std::uint64_t step) {
   if (charge_transitions_) {
@@ -47,7 +36,7 @@ void SimTransport::apply_transition(const ord::Transition& t, std::uint64_t step
 
 SweepStats SimTransport::run_phase(const PhaseContext& ctx) {
   if (ctx.phase.first_step == 0) ++modeled_sweeps_;
-  if (pipelined_q_ == 0 || ctx.phase.type != ord::PhaseInfo::Type::Exchange)
+  if (q_ == 0 || ctx.phase.type != ord::PhaseInfo::Type::Exchange)
     return Transport::run_phase(ctx);
 
   // Charge the phase as its pipelined stage schedule (uniform model block
@@ -64,7 +53,7 @@ SweepStats SimTransport::run_phase(const PhaseContext& ctx) {
   const double col_elems = static_cast<double>(nodes_.front().fixed().rows) + m;
   const double step_elems = col_elems * (m / static_cast<double>(layout_.num_blocks()));
   const sim::Program program =
-      sim::build_pipelined_links_program(links, pipelined_q_, step_elems, dimension());
+      sim::build_pipelined_links_program(links, q_, step_elems, dimension());
   for (const auto& stage : program) network_.accumulate_stage(stage, clock_);
 
   charge_transitions_ = false;
@@ -92,34 +81,5 @@ std::vector<double> SimTransport::allreduce_sum(std::vector<double> values) {
 }
 
 void SimTransport::allreduce_sum(std::span<double> values) { charge_vote(values.size()); }
-
-SimSolveResult solve_sim(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                         const SimSolveOptions& opts) {
-  JMH_REQUIRE(a.is_square(), "eigenproblem needs a square matrix");
-  api::SolverSpec spec = legacy::spec_for(a, ordering, opts, api::Backend::Sim);
-  spec.machine = opts.machine;
-  spec.overlap_startup = opts.overlap_startup;
-  if (opts.pipelined_q >= 1) {
-    spec.pipelining = api::PipeliningPolicy::Fixed;
-    spec.q = opts.pipelined_q;
-  }
-  api::SolveReport report =
-      api::Solver::plan(spec, ordering).solve(a, legacy::overrides_for(opts));
-
-  SimSolveResult out;
-  out.modeled_time = report.modeled_time;
-  out.vote_time = report.vote_time;
-  out.modeled_sweeps = report.modeled_sweeps;
-  out.link_busy = std::move(report.link_busy);
-  static_cast<DistributedResult&>(out) = legacy::to_distributed(std::move(report));
-  return out;
-}
-
-double SimSolveResult::mean_link_utilization() const {
-  if (modeled_time <= 0.0 || link_busy.empty()) return 0.0;
-  double total = 0.0;
-  for (double b : link_busy) total += b;
-  return total / (modeled_time * static_cast<double>(link_busy.size()));
-}
 
 }  // namespace jmh::solve

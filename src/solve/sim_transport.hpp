@@ -9,8 +9,8 @@
 //   * one stage per transition (exchange, division, last transition), each
 //     node sending the block it actually ships (2 * rows * ncols elements:
 //     the B and V columns; serialization headers are not part of the
-//     machine model) -- or, with pipelined_q >= 1, the pipelined stage
-//     schedule of each exchange phase at degree q;
+//     machine model) -- or, with q >= 1, the pipelined stage schedule of
+//     each exchange phase at degree q;
 //   * the recursive-doubling convergence vote (d stages of a small packed
 //     message), which the analytical model omits -- kept separately
 //     inspectable via vote_time.
@@ -20,34 +20,18 @@
 
 #include <cstdint>
 
-#include "pipe/machine.hpp"
 #include "sim/network.hpp"
 #include "solve/inline_transport.hpp"
-#include "solve/parallel_jacobi.hpp"
 
 namespace jmh::solve {
 
-struct SimSolveOptions : SolveOptions {
-  pipe::MachineParams machine;     ///< ts/tw/ports charged per message
-  bool overlap_startup = false;    ///< see sim::SimConfig
-  /// 0 = charge exchange phases as full-block transitions; q >= 1 = charge
-  /// them as pipelined schedules with q packets per block.
-  std::uint64_t pipelined_q = 0;
-};
-
-struct SimSolveResult : DistributedResult {
-  double modeled_time = 0.0;  ///< total modeled communication time
-  double vote_time = 0.0;     ///< part spent in convergence allreduces
-  int modeled_sweeps = 0;     ///< sweeps charged (incl. the final all-skip one)
-  /// Busy time of each directed channel, indexed node * d + link.
-  std::vector<double> link_busy;
-  /// Mean busy fraction over channels and the modeled makespan.
-  double mean_link_utilization() const;
-};
-
 class SimTransport : public InlineTransport {
  public:
-  SimTransport(const la::Matrix& a, int d, const SimSolveOptions& opts);
+  /// Owns all 2^d nodes of @p a's solve and charges every message on a
+  /// network built from @p config (machine model and startup overlap).
+  /// @p q == 0 charges exchange phases as full-block transitions; q >= 1
+  /// charges them as pipelined schedules with q packets per block.
+  SimTransport(const la::Matrix& a, int d, const sim::SimConfig& config, std::uint64_t q = 0);
 
   void apply_transition(const ord::Transition& t, std::uint64_t step) override;
   SweepStats run_phase(const PhaseContext& ctx) override;
@@ -68,18 +52,11 @@ class SimTransport : public InlineTransport {
   void charge_vote(std::size_t num_values);
 
   sim::Network network_;
-  std::uint64_t pipelined_q_;
+  std::uint64_t q_;
   sim::SimResult clock_;
   double vote_time_ = 0.0;
   int modeled_sweeps_ = 0;
   bool charge_transitions_ = true;  // suppressed while a phase charges itself
 };
-
-/// Solves on the simulated machine: eigenpairs identical to solve_inline,
-/// plus the modeled communication time of the run.
-/// DEPRECATED: thin wrapper over the api facade -- new code should use
-/// api::Solver with backend=sim (api/solver.hpp).
-SimSolveResult solve_sim(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                         const SimSolveOptions& opts = {});
 
 }  // namespace jmh::solve

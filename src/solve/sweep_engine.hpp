@@ -1,8 +1,7 @@
 // The shared sweep engine: drives the full ordering protocol once,
-// parameterized by a Transport. Every executor (inline, mpi_lite plain and
-// pipelined, simulated) is a thin wrapper that picks a transport and calls
-// run_sweep_protocol; no executor re-implements the transition loop or the
-// convergence logic.
+// parameterized by a Transport. Every backend (inline, mpi_lite plain and
+// pipelined, simulated) picks a transport and calls run_sweep_protocol; no
+// backend re-implements the transition loop or the convergence logic.
 #pragma once
 
 #include "solve/transport.hpp"
@@ -31,8 +30,8 @@ struct EngineResult {
 /// Runs the sweep protocol to convergence (or opts.max_sweeps). Each sweep:
 /// intra-block pairings on every node, then the ordering's phases (exchange
 /// phases, division transitions, last transition) with sigma link rotation,
-/// then the global convergence vote. The Gershgorin shift is handled by the
-/// entry-point wrappers, not here.
+/// then the global convergence vote. Input transforms such as the Gershgorin
+/// shift belong to the caller (the api task adapters), not here.
 EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering& ordering,
                                 const SolveOptions& opts);
 

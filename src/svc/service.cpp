@@ -481,62 +481,4 @@ Metrics SolverService::metrics() const {
   return m;
 }
 
-std::vector<api::SolveReport> solve_batch_parallel(const api::SolvePlan& plan,
-                                                   const std::vector<la::Matrix>& as,
-                                                   std::size_t workers) {
-  std::vector<api::SolveReport> reports(as.size());
-  if (as.empty()) return reports;
-  const std::size_t pool = std::min(pick_workers(workers), as.size());
-
-  // Error semantics must not depend on the pool size (the auto pick varies
-  // by machine): every matrix is attempted, and the exception rethrown is
-  // the LOWEST-INDEX failure, not whichever finished first in wall-clock.
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  std::size_t first_error_index = as.size();
-  auto solve_one = [&](std::size_t i) {
-    try {
-      reports[i] = plan.solve(as[i]);
-    } catch (...) {
-      std::lock_guard lock(error_mu);
-      if (i < first_error_index) {
-        first_error_index = i;
-        first_error = std::current_exception();
-      }
-    }
-  };
-
-  if (pool <= 1) {
-    for (std::size_t i = 0; i < as.size(); ++i) solve_one(i);
-  } else if (exec::ThreadPool::enabled()) {
-    // pool executors total: the caller plus pool-1 runner tasks on the
-    // shared exec pool. Runners drain a shared index, so a late-starting
-    // runner (busy pool) just finds the index exhausted and no-ops -- the
-    // caller's own run() guarantees every matrix is attempted even if no
-    // pool worker ever frees up. Helping wait makes nested batches (a
-    // batch item submitting a batch) safe.
-    std::atomic<std::size_t> next{0};
-    auto run = [&] {
-      for (std::size_t i = next.fetch_add(1); i < as.size(); i = next.fetch_add(1))
-        solve_one(i);
-    };
-    exec::ThreadPool::TaskGroup group = exec::ThreadPool::global().group();
-    for (std::size_t t = 0; t < pool - 1; ++t) group.add(run);
-    run();
-    group.wait();
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto run = [&] {
-      for (std::size_t i = next.fetch_add(1); i < as.size(); i = next.fetch_add(1))
-        solve_one(i);
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(run);
-    for (std::thread& t : threads) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return reports;
-}
-
 }  // namespace jmh::svc

@@ -19,20 +19,17 @@
 //  - The dispatchers are dedicated threads (they block indefinitely in
 //    JobQueue::pop_group, so parking them on the shared pool would starve
 //    it), but all COMPUTE they trigger -- mpi-lite rank gangs inside
-//    plan.solve, batch runner tasks in solve_batch_parallel -- draws from
-//    the one process-wide exec::ThreadPool, so concurrent jobs interleave
-//    on a fixed worker set instead of multiplying threads.
+//    plan.solve, batch runner tasks in plan.solve_batch -- draws from the
+//    one process-wide exec::ThreadPool, so concurrent jobs interleave on a
+//    fixed worker set instead of multiplying threads.
 //  - Errors (malformed specs, infeasible plans, solve failures) surface
 //    through the job's future; the service itself keeps running.
 //  - shutdown() closes admission, drains every admitted job, and joins the
 //    pool; the destructor calls it. drain() waits for quiescence without
 //    stopping the service.
 //
-// svc sits ABOVE api in the layer graph (svc -> api). The one sanctioned
-// upward call is api::SolvePlan::solve_batch delegating to
-// svc::solve_batch_parallel (mirroring the solve/ -> api legacy bridge), so
-// batch solves inherit the pool parallelism without api knowing the
-// service's internals.
+// svc sits ABOVE api in the layer graph (svc -> api) and nothing below it
+// calls back up.
 #pragma once
 
 #include <atomic>
@@ -269,19 +266,5 @@ class SolverService {
   obs::Counter& obs_chaos_storms_;
   obs::Histogram& obs_latency_ns_;
 };
-
-/// Solves @p as[i] with @p plan using up to @p workers concurrent
-/// executors (0 = hardware pick, capped at as.size(); 1 = sequential in
-/// the caller). Executors are tasks on the process-wide exec::ThreadPool
-/// with the caller helping; with JMH_EXEC_POOL=off they are transient
-/// threads (the legacy path).
-/// Reports are returned in input order and are bit-identical to sequential
-/// plan.solve calls -- the plan is immutable and each solve independent, so
-/// threading only changes wall-clock. Error semantics are pool-size
-/// independent: every matrix is attempted, and the exception of the
-/// lowest-index failing solve is rethrown after all threads join.
-std::vector<api::SolveReport> solve_batch_parallel(const api::SolvePlan& plan,
-                                                   const std::vector<la::Matrix>& as,
-                                                   std::size_t workers = 0);
 
 }  // namespace jmh::svc

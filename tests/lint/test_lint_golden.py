@@ -85,25 +85,9 @@ class CheckLayersGolden(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("layer 'la' may not include \"ord/ordering.hpp\"", proc.stdout)
 
-    def test_sanctioned_exception_is_accepted_and_impl_only(self):
-        manifest = MANIFEST + """
-[[exception]]
-file = "src/la/bridge.cpp"
-include = "ord/ordering.hpp"
-justification = "golden case: sanctioned upward impl-only edge"
-"""
-        write_tree(self.root, {
-            "src/common/util.hpp": HDR,
-            "src/ord/ordering.hpp": HDR,
-            "src/la/bridge.hpp": HDR,
-            "src/la/bridge.cpp": '#include "la/bridge.hpp"\n#include "ord/ordering.hpp"\n',
-        })
-        proc = run_layers(self.root, manifest)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
     def test_unlisted_exception_header_fails(self):
-        # The same edge WITHOUT the manifest grant must fail: exceptions are
-        # per-(file, include), not per-layer.
+        # An upward include from an implementation file is as forbidden as
+        # one from a header: the graph is a strict DAG with no grants.
         write_tree(self.root, {
             "src/common/util.hpp": HDR,
             "src/ord/ordering.hpp": HDR,
@@ -112,22 +96,41 @@ justification = "golden case: sanctioned upward impl-only edge"
         })
         proc = run_layers(self.root)
         self.assertEqual(proc.returncode, 1)
-        self.assertIn("upward edges need an [[exception]] entry", proc.stdout)
+        self.assertIn("layer 'la' may not include \"ord/ordering.hpp\"", proc.stdout)
+        self.assertIn("upward edges are forbidden", proc.stdout)
 
-    def test_stale_exception_fails(self):
+    def test_manifest_with_exception_is_rejected(self):
         manifest = MANIFEST + """
 [[exception]]
-file = "src/la/gone.cpp"
+file = "src/la/bridge.cpp"
 include = "ord/ordering.hpp"
-justification = "golden case: the file was deleted but the grant remains"
+justification = "golden case: grants are no longer part of the grammar"
 """
         write_tree(self.root, {
             "src/common/util.hpp": HDR,
             "src/ord/ordering.hpp": HDR,
+            "src/la/bridge.hpp": HDR,
+            "src/la/bridge.cpp": '#include "la/bridge.hpp"\n#include "ord/ordering.hpp"\n',
         })
         proc = run_layers(self.root, manifest)
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("stale [[exception]]", proc.stdout)
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("declares [[exception]]", proc.stderr)
+
+    def test_unknown_dep_manifest_exits_2(self):
+        manifest = MANIFEST.replace('deps = ["common", "la"]', 'deps = ["common", "nosuch"]')
+        write_tree(self.root, {"src/common/util.hpp": HDR})
+        proc = run_layers(self.root, manifest)
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("unknown layer 'nosuch'", proc.stderr)
+
+    def test_missing_manifest_exits_2(self):
+        write_tree(self.root, {"src/common/util.hpp": HDR})
+        proc = subprocess.run(
+            [sys.executable, str(CHECK_LAYERS), "--root", str(self.root),
+             "--manifest", str(self.root / "absent.toml")],
+            capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("cannot read manifest", proc.stderr)
 
     def test_missing_pragma_once_fails(self):
         write_tree(self.root, {

@@ -1,9 +1,9 @@
 // Traffic accounting of the mpi_lite runtime.
 #include <gtest/gtest.h>
 
+#include "api/solver.hpp"
 #include "net/collectives.hpp"
 #include "net/universe.hpp"
-#include "solve/parallel_jacobi.hpp"
 
 #include "la/sym_gen.hpp"
 
@@ -66,8 +66,7 @@ TEST(CommStats, DistributedSolveTrafficAccounted) {
   // block payload is 3 + 2 + 2*2*16 = 69 doubles for m=16.
   Xoshiro256 rng(5);
   const la::Matrix a = la::random_uniform_symmetric(16, rng);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 2);
-  const auto r = solve::solve_mpi(a, ordering);
+  const auto r = api::Solver::solve(api::SolverSpec::parse("backend=mpi,ordering=br,m=16,d=2"), a);
   ASSERT_TRUE(r.converged);
   // sweeps+1 sweep bodies were executed (the last detects convergence).
   const std::uint64_t sweep_bodies = static_cast<std::uint64_t>(r.sweeps) + 1;
@@ -83,8 +82,7 @@ TEST(CommStats, DistributedSolveTrafficAccounted) {
 TEST(CommStats, InlineSolverHasNoTraffic) {
   Xoshiro256 rng(5);
   const la::Matrix a = la::random_uniform_symmetric(16, rng);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 2);
-  const auto r = solve::solve_inline(a, ordering);
+  const auto r = api::Solver::solve(api::SolverSpec::parse("ordering=br,m=16,d=2"), a);
   EXPECT_EQ(r.comm.messages, 0u);
   EXPECT_EQ(r.comm.elements, 0u);
 }

@@ -2,13 +2,13 @@
 // skeleton: any set of valid e-sequences yields a correct Jacobi ordering.
 #include <gtest/gtest.h>
 
+#include "api/solver.hpp"
 #include "common/rng.hpp"
 #include "la/eigen_check.hpp"
 #include "la/sym_gen.hpp"
 #include "ord/br.hpp"
 #include "ord/min_alpha.hpp"
 #include "ord/schedule.hpp"
-#include "solve/parallel_jacobi.hpp"
 
 namespace jmh::ord {
 namespace {
@@ -52,8 +52,11 @@ TEST(CustomOrdering, ReversedBrIsAlsoValid) {
 TEST(CustomOrdering, SolvesEigenproblem) {
   Xoshiro256 rng(71);
   const la::Matrix a = la::random_uniform_symmetric(16, rng);
-  const JacobiOrdering ordering(searched_family(2));
-  const auto r = solve::solve_inline(a, ordering);
+  api::SolverSpec spec;
+  spec.m = 16;
+  spec.d = 2;
+  spec.ordering = OrderingKind::Custom;
+  const auto r = api::Solver::plan(spec, JacobiOrdering(searched_family(2))).solve(a);
   ASSERT_TRUE(r.converged);
   const auto ref = la::onesided_jacobi_cyclic(a);
   EXPECT_LT(la::spectrum_distance(r.eigenvalues, ref.eigenvalues), 1e-8);

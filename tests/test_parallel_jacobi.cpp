@@ -1,16 +1,29 @@
-#include "solve/parallel_jacobi.hpp"
-
+// The distributed eigensolver end to end through the api facade: the inline
+// and mpi_lite backends against the sequential cyclic reference.
 #include <gtest/gtest.h>
 
+#include "api/solver.hpp"
 #include "la/eigen_check.hpp"
+#include "la/onesided_jacobi.hpp"
 #include "la/sym_gen.hpp"
 
-namespace jmh::solve {
+namespace jmh::api {
 namespace {
 
 la::Matrix test_matrix(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   return la::random_uniform_symmetric(n, rng);
+}
+
+SolveReport solve_on(Backend backend, const la::Matrix& a, ord::OrderingKind kind, int d,
+                     int max_sweeps = SolverSpec{}.max_sweeps) {
+  SolverSpec spec;
+  spec.m = a.cols();
+  spec.d = d;
+  spec.ordering = kind;
+  spec.backend = backend;
+  spec.max_sweeps = max_sweeps;
+  return Solver::plan(spec).solve(a);
 }
 
 struct SolverCase {
@@ -24,8 +37,7 @@ class InlineSolverTest : public ::testing::TestWithParam<SolverCase> {};
 TEST_P(InlineSolverTest, MatchesSequentialReference) {
   const auto [kind, d, m] = GetParam();
   const la::Matrix a = test_matrix(m, 1000 + m);
-  const ord::JacobiOrdering ordering(kind, d);
-  const DistributedResult dist = solve_inline(a, ordering);
+  const SolveReport dist = solve_on(Backend::Inline, a, kind, d);
   const la::JacobiResult ref = la::onesided_jacobi_cyclic(a);
   ASSERT_TRUE(dist.converged);
   ASSERT_TRUE(ref.converged);
@@ -58,8 +70,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, InlineSolverTest, ::testing::ValuesIn(solver_case
 TEST(InlineSolver, UnevenColumnSplit) {
   // 13 columns over 8 blocks: sizes differ by one; must still be exact.
   const la::Matrix a = test_matrix(13, 77);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::PermutedBR, 2);
-  const DistributedResult dist = solve_inline(a, ordering);
+  const SolveReport dist = solve_on(Backend::Inline, a, ord::OrderingKind::PermutedBR, 2);
   const la::JacobiResult ref = la::onesided_jacobi_cyclic(a);
   ASSERT_TRUE(dist.converged);
   EXPECT_LT(la::spectrum_distance(dist.eigenvalues, ref.eigenvalues), 1e-8);
@@ -67,8 +78,7 @@ TEST(InlineSolver, UnevenColumnSplit) {
 
 TEST(InlineSolver, DiagonalConvergesInZeroSweeps) {
   const la::Matrix a = la::diagonal({4.0, 3.0, 2.0, 1.0, 0.5, -1.0, -2.0, -3.0});
-  const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 1);
-  const DistributedResult r = solve_inline(a, ordering);
+  const SolveReport r = solve_on(Backend::Inline, a, ord::OrderingKind::BR, 1);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.sweeps, 0);
 }
@@ -81,8 +91,7 @@ TEST(InlineSolver, KnownSpectrumRecovered) {
   Xoshiro256 rng(5);
   const std::vector<double> spectrum = {-8.0, -2.5, -1.0, 0.25, 1.5, 2.0, 4.0, 16.0};
   const la::Matrix a = la::symmetric_with_spectrum(spectrum, rng);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 1);
-  const DistributedResult r = solve_inline(a, ordering);
+  const SolveReport r = solve_on(Backend::Inline, a, ord::OrderingKind::Degree4, 1);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(la::spectrum_distance(r.eigenvalues, spectrum), 1e-8);
 }
@@ -91,19 +100,15 @@ TEST(InlineSolver, RotationCountMatchesPairCoverage) {
   // First sweep of an m=16, d=2 solve touches every pair at most once:
   // m(m-1)/2 = 120 rotations is the per-sweep ceiling.
   const la::Matrix a = test_matrix(16, 9);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 2);
-  SolveOptions opts;
-  opts.max_sweeps = 1;
-  const DistributedResult r = solve_inline(a, ordering, opts);
+  const SolveReport r = solve_on(Backend::Inline, a, ord::OrderingKind::BR, 2, /*max_sweeps=*/1);
   EXPECT_LE(r.rotations, 120u);
   EXPECT_GT(r.rotations, 100u);  // random matrix: almost every pair rotates
 }
 
 TEST(MpiSolver, AgreesWithInlineSolver) {
   const la::Matrix a = test_matrix(16, 21);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::PermutedBR, 2);
-  const DistributedResult inline_r = solve_inline(a, ordering);
-  const DistributedResult mpi_r = solve_mpi(a, ordering);
+  const SolveReport inline_r = solve_on(Backend::Inline, a, ord::OrderingKind::PermutedBR, 2);
+  const SolveReport mpi_r = solve_on(Backend::MpiLite, a, ord::OrderingKind::PermutedBR, 2);
   ASSERT_TRUE(mpi_r.converged);
   EXPECT_EQ(mpi_r.sweeps, inline_r.sweeps);
   EXPECT_LT(la::spectrum_distance(mpi_r.eigenvalues, inline_r.eigenvalues), 1e-12);
@@ -113,8 +118,7 @@ TEST(MpiSolver, AgreesWithInlineSolver) {
 TEST(MpiSolver, AllOrderingsConvergeOnThreads) {
   const la::Matrix a = test_matrix(16, 33);
   for (auto kind : {ord::OrderingKind::BR, ord::OrderingKind::Degree4}) {
-    const ord::JacobiOrdering ordering(kind, 2);
-    const DistributedResult r = solve_mpi(a, ordering);
+    const SolveReport r = solve_on(Backend::MpiLite, a, kind, 2);
     ASSERT_TRUE(r.converged) << ord::to_string(kind);
     EXPECT_LT(la::eigenpair_residual(a, r.eigenvalues, r.eigenvectors), 1e-9);
   }
@@ -122,18 +126,16 @@ TEST(MpiSolver, AllOrderingsConvergeOnThreads) {
 
 TEST(MpiSolver, LargerCube) {
   const la::Matrix a = test_matrix(32, 55);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 3);
-  const DistributedResult r = solve_mpi(a, ordering);
+  const SolveReport r = solve_on(Backend::MpiLite, a, ord::OrderingKind::Degree4, 3);
   ASSERT_TRUE(r.converged);
   const la::JacobiResult ref = la::onesided_jacobi_cyclic(a);
   EXPECT_LT(la::spectrum_distance(r.eigenvalues, ref.eigenvalues), 1e-8);
 }
 
 TEST(Solver, NonSquareRejected) {
-  la::Matrix a(3, 4);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 1);
-  EXPECT_THROW(solve_inline(a, ordering), std::invalid_argument);
+  const SolvePlan plan = Solver::plan(SolverSpec::parse("ordering=br,m=4,d=1"));
+  EXPECT_THROW(plan.solve(la::Matrix(3, 4)), std::invalid_argument);
 }
 
 }  // namespace
-}  // namespace jmh::solve
+}  // namespace jmh::api

@@ -1,7 +1,7 @@
 // One shared immutable SolvePlan used from many threads at once, on every
 // backend: results must be bit-identical to a single-threaded run -- the
 // thread-shareability contract the svc worker pool is built on. Also covers
-// the parallel solve_batch rerouting (svc::solve_batch_parallel).
+// the parallel SolvePlan::solve_batch.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,7 +10,6 @@
 
 #include "api/solver.hpp"
 #include "la/sym_gen.hpp"
-#include "svc/service.hpp"
 
 namespace jmh::api {
 namespace {
@@ -87,8 +86,8 @@ TEST(PlanConcurrency, SimBackend) {
   run_concurrency_case("backend=sim,ordering=pbr,m=16,d=2,pipeline=auto");
 }
 
-// solve_batch now routes through the svc pool: the parallel result must be
-// indistinguishable from the sequential loop it replaced.
+// solve_batch runs on the shared exec pool: the parallel result must be
+// indistinguishable from a sequential loop.
 TEST(PlanConcurrency, ParallelSolveBatchMatchesSequential) {
   const SolvePlan plan = Solver::plan(SolverSpec::parse("ordering=d4,m=16,d=2"));
   std::vector<la::Matrix> batch;
@@ -101,15 +100,6 @@ TEST(PlanConcurrency, ParallelSolveBatchMatchesSequential) {
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < batch.size(); ++i)
     expect_bit_identical(parallel[i], sequential[i], "batch index " + std::to_string(i));
-
-  // Explicit pool sizes agree too (1 = the sequential path itself).
-  for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-    const std::vector<SolveReport> pooled = svc::solve_batch_parallel(plan, batch, workers);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      expect_bit_identical(pooled[i], sequential[i],
-                           "workers=" + std::to_string(workers) + " index " +
-                               std::to_string(i));
-  }
 }
 
 TEST(PlanConcurrency, ParallelSolveBatchPropagatesErrors) {
@@ -117,8 +107,8 @@ TEST(PlanConcurrency, ParallelSolveBatchPropagatesErrors) {
   std::vector<la::Matrix> batch;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) batch.push_back(test_matrix(seed));
   batch.push_back(la::Matrix(12, 12));  // wrong order: plan.solve throws
-  EXPECT_THROW(svc::solve_batch_parallel(plan, batch, 3), std::invalid_argument);
-  EXPECT_TRUE(svc::solve_batch_parallel(plan, {}, 3).empty());
+  EXPECT_THROW(plan.solve_batch(batch), std::invalid_argument);
+  EXPECT_TRUE(plan.solve_batch({}).empty());
 }
 
 }  // namespace

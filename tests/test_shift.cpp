@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/solver.hpp"
 #include "la/eigen_check.hpp"
 #include "la/onesided_jacobi.hpp"
 #include "la/sym_gen.hpp"
-#include "solve/parallel_jacobi.hpp"
 
 namespace jmh::la {
 namespace {
@@ -63,10 +63,7 @@ TEST(Shift, DistributedShiftedSolve) {
   Xoshiro256 rng(23);
   const std::vector<double> spectrum = {-4.0, -1.0, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0};
   const Matrix a = symmetric_with_spectrum(spectrum, rng);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::PermutedBR, 1);
-  solve::SolveOptions opts;
-  opts.gershgorin_shift = true;
-  const auto r = solve::solve_inline(a, ordering, opts);
+  const auto r = api::Solver::solve(api::SolverSpec::parse("ordering=pbr,m=8,d=1,shift=1"), a);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(spectrum_distance(r.eigenvalues, spectrum), 1e-8);
 }
@@ -75,10 +72,8 @@ TEST(Shift, DistributedMpiShiftedSolve) {
   Xoshiro256 rng(29);
   const std::vector<double> spectrum = {-3.0, -1.5, 1.5, 3.0, 4.0, 5.0, 6.0, 7.0};
   const Matrix a = symmetric_with_spectrum(spectrum, rng);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 1);
-  solve::SolveOptions opts;
-  opts.gershgorin_shift = true;
-  const auto r = solve::solve_mpi(a, ordering, opts);
+  const auto r =
+      api::Solver::solve(api::SolverSpec::parse("backend=mpi,ordering=d4,m=8,d=1,shift=1"), a);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(spectrum_distance(r.eigenvalues, spectrum), 1e-8);
 }

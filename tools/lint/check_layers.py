@@ -5,13 +5,7 @@ Parses every `#include` edge under src/, tests/, bench/ and examples/ and
 fails (exit 1) on:
 
   * an include edge between src/ layers that tools/lint/layers.toml does not
-    permit, unless the exact (file, include) pair is listed as a sanctioned
-    exception with a justification;
-  * an exception header (an .hpp carrying an upward include) included from
-    anywhere but implementation files of its own layer -- the property that
-    keeps the sanctioned back edges out of the include graph;
-  * a stale exception entry (the pair no longer exists -- keeps the
-    manifest from accumulating dead grants);
+    permit -- the graph is a strict DAG, so there is no exception list;
   * a src/ file including from tests/, bench/ or examples/;
   * a relative (`"../"` or `"./"`) or non-layer-qualified project include;
   * an .hpp under src/ or bench/ without `#pragma once`;
@@ -22,7 +16,8 @@ Usage:
     tools/lint/check_layers.py [--root DIR] [--manifest FILE]
 
 Exit codes: 0 clean, 1 violations (each printed as file:line: message),
-2 bad manifest/usage.
+2 bad manifest/usage (printed to stderr). A manifest naming an unknown
+layer or declaring an `[[exception]]` table is a bad manifest.
 """
 
 import argparse
@@ -37,34 +32,36 @@ PROJECT_INCLUDE_RE = re.compile(r"^[a-z0-9_]+/[a-z0-9_]+\.hpp$")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 
 
+def bad_input(message: str):
+    """Exits 2: the manifest or the invocation is broken, not the tree."""
+    print(f"check_layers: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def parse_manifest(path: Path):
     try:
         with open(path, "rb") as f:
             doc = tomllib.load(f)
     except (OSError, tomllib.TOMLDecodeError) as e:
-        sys.exit(f"check_layers: cannot read manifest {path}: {e}")
+        bad_input(f"cannot read manifest {path}: {e}")
+
+    if "exception" in doc:
+        bad_input(f"{path.name} declares [[exception]]: the layer graph is a strict "
+                  f"DAG with no upward edges")
 
     layers = {}
     for name, entry in doc.get("layers", {}).items():
         deps = entry.get("deps")
         if not isinstance(deps, list):
-            sys.exit(f"check_layers: [layers.{name}] needs a 'deps' list")
+            bad_input(f"[layers.{name}] needs a 'deps' list")
         layers[name] = set(deps)
     for name, deps in layers.items():
         for dep in deps:
             if dep not in layers:
-                sys.exit(f"check_layers: [layers.{name}] depends on unknown layer '{dep}'")
+                bad_input(f"[layers.{name}] depends on unknown layer '{dep}'")
 
     toplevel = set(doc.get("toplevel", {}).get("dirs", []))
-
-    exceptions = {}
-    for entry in doc.get("exception", []):
-        for key in ("file", "include", "justification"):
-            if not entry.get(key) or not str(entry[key]).strip():
-                sys.exit("check_layers: every [[exception]] needs non-empty "
-                         "'file', 'include' and 'justification'")
-        exceptions[(entry["file"], entry["include"])] = entry["justification"]
-    return layers, toplevel, exceptions
+    return layers, toplevel
 
 
 def scan_includes(path: Path):
@@ -72,7 +69,7 @@ def scan_includes(path: Path):
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as e:
-        sys.exit(f"check_layers: cannot read {path}: {e}")
+        bad_input(f"cannot read {path}: {e}")
     for i, line in enumerate(text.splitlines(), start=1):
         m = INCLUDE_RE.match(line)
         if m:
@@ -97,13 +94,9 @@ def main():
 
     root = args.root.resolve()
     manifest = args.manifest or root / "tools" / "lint" / "layers.toml"
-    layers, toplevel, exceptions = parse_manifest(manifest)
+    layers, toplevel = parse_manifest(manifest)
 
     violations = []
-    used_exceptions = set()
-    # Headers granted an upward include: collect them now so the impl-only
-    # property can be enforced while walking the tree.
-    exception_headers = {f for (f, _inc) in exceptions if f.endswith(".hpp")}
 
     files = []
     for d in SCAN_DIRS:
@@ -159,34 +152,12 @@ def main():
                     f"in {manifest.name}")
                 continue
 
-            # src -> src edge: must be same-layer, permitted, or excepted.
-            if target_layer == layer or target_layer in layers[layer]:
-                pass
-            elif (rel, inc) in exceptions:
-                used_exceptions.add((rel, inc))
-            else:
+            # src -> src edge: must be same-layer or permitted.
+            if target_layer != layer and target_layer not in layers[layer]:
                 violations.append(
                     f"{rel}:{lineno}: layer '{layer}' may not include \"{inc}\" "
                     f"(allowed: {', '.join(sorted(layers[layer])) or 'nothing'}; "
-                    f"upward edges need an [[exception]] entry with a justification)")
-
-            # Impl-only rule for exception headers: only .cpp files of the
-            # header's own layer may include it.
-            if inc in {f"{Path(f).parent.name}/{Path(f).name}" for f in exception_headers}:
-                owner_layer = Path(inc).parts[0]
-                if path.suffix != ".cpp" or layer != owner_layer:
-                    violations.append(
-                        f"{rel}:{lineno}: \"{inc}\" carries a sanctioned upward include "
-                        f"and may only be included from {owner_layer}/*.cpp")
-
-    for (f, inc) in sorted(set(exceptions) - used_exceptions):
-        src_file = root / f
-        if not src_file.is_file():
-            violations.append(f"{f}:1: stale [[exception]]: file no longer exists")
-        else:
-            violations.append(
-                f"{f}:1: stale [[exception]]: no longer includes \"{inc}\" -- "
-                f"remove the manifest entry")
+                    f"upward edges are forbidden)")
 
     if violations:
         for v in violations:
