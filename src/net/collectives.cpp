@@ -51,11 +51,6 @@ double allreduce_sum(Comm& comm, double value) {
   return allreduce(comm, value, [](double a, double b) { return a + b; });
 }
 
-std::vector<double> allreduce_sum(Comm& comm, std::vector<double> values) {
-  allreduce_sum_inplace(comm, values);
-  return values;
-}
-
 void allreduce_sum_inplace(Comm& comm, std::span<double> values) {
   if (is_pow2(static_cast<std::uint64_t>(comm.size()))) {
     for (int bit = 1; bit < comm.size(); bit <<= 1) {

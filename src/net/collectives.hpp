@@ -15,15 +15,10 @@ namespace jmh::net {
 /// Sum of @p value over all ranks, returned on every rank.
 double allreduce_sum(Comm& comm, double value);
 
-/// Element-wise sum of @p values over all ranks, returned on every rank.
-/// All ranks must contribute the same length. One butterfly (or root relay)
-/// for the whole vector -- combine related votes into one call instead of
-/// paying per-scalar message startups.
-std::vector<double> allreduce_sum(Comm& comm, std::vector<double> values);
-
-/// Element-wise sum over all ranks, accumulated in place into @p values.
-/// Same semantics as the vector overload without allocating result
-/// vectors -- the per-sweep convergence vote path.
+/// Element-wise sum of @p values over all ranks, accumulated in place on
+/// every rank. All ranks must contribute the same length. One butterfly
+/// (or root relay) for the whole span -- combine related votes into one
+/// call instead of paying per-scalar message startups.
 void allreduce_sum_inplace(Comm& comm, std::span<double> values);
 
 /// Max of @p value over all ranks, returned on every rank.

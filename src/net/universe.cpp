@@ -24,7 +24,13 @@ void Universe::poison(std::exception_ptr error) {
     std::lock_guard<std::mutex> lock(error_mu_);
     if (!first_error_) first_error_ = error;
   }
-  poisoned_.store(true, std::memory_order_release);
+  {
+    // Stored under barrier_mu_: a waiting rank holds it from checking the
+    // barrier_wait predicate until the wait releases it, so the store lands
+    // before that check or after the rank sleeps, where the notify reaches it.
+    std::lock_guard<std::mutex> lock(barrier_mu_);
+    poisoned_.store(true, std::memory_order_release);
+  }
   // Wake every blocked receiver with a poison sentinel and release any
   // barrier waiters.
   for (auto& mb : mailboxes_) mb->deliver({kPoisonSource, 0, 0, {}});

@@ -84,12 +84,6 @@ SweepStats FaultInjectingTransport::run_phase(const PhaseContext& ctx) {
   return inner_.run_phase(ctx);
 }
 
-std::vector<double> FaultInjectingTransport::allreduce_sum(std::vector<double> values) {
-  if (schedule_.vote_fails(votes_++))
-    throw TransportCorrupt("injected allreduce failure");
-  return inner_.allreduce_sum(std::move(values));
-}
-
 void FaultInjectingTransport::allreduce_sum(std::span<double> values) {
   if (schedule_.vote_fails(votes_++))
     throw TransportCorrupt("injected allreduce failure");

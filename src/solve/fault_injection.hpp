@@ -64,7 +64,6 @@ class FaultInjectingTransport final : public Transport {
     inject_step_faults(step);
     inner_.apply_transition(t, step);
   }
-  std::vector<double> allreduce_sum(std::vector<double> values) override;
   void allreduce_sum(std::span<double> values) override;
   SweepStats run_phase(const PhaseContext& ctx) override;
   std::vector<ColumnBlock> collect_blocks() override { return inner_.collect_blocks(); }

@@ -25,7 +25,6 @@ class InlineTransport : public Transport {
   void apply_transition(const ord::Transition& t, std::uint64_t step) override;
 
   /// Single owner: the local values already are the global sums.
-  std::vector<double> allreduce_sum(std::vector<double> values) override { return values; }
   void allreduce_sum(std::span<double> /*values*/) override {}
 
   std::vector<ColumnBlock> collect_blocks() override;

@@ -47,10 +47,6 @@ void MpiLiteTransport::apply_transition(const ord::Transition& t, std::uint64_t 
   }
 }
 
-std::vector<double> MpiLiteTransport::allreduce_sum(std::vector<double> values) {
-  return net::allreduce_sum(hc_.raw(), values);
-}
-
 void MpiLiteTransport::allreduce_sum(std::span<double> values) {
   net::allreduce_sum_inplace(hc_.raw(), values);
 }

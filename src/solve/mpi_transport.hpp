@@ -43,7 +43,6 @@ class MpiLiteTransport : public Transport {
 
   void apply_transition(const ord::Transition& t, std::uint64_t step) override;
 
-  std::vector<double> allreduce_sum(std::vector<double> values) override;
   void allreduce_sum(std::span<double> values) override;
 
   /// Pipelined exchange phases when q >= 1; the base implementation

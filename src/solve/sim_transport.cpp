@@ -75,11 +75,6 @@ void SimTransport::charge_vote(std::size_t num_values) {
   vote_time_ += clock_.makespan - before;
 }
 
-std::vector<double> SimTransport::allreduce_sum(std::vector<double> values) {
-  charge_vote(values.size());
-  return values;
-}
-
 void SimTransport::allreduce_sum(std::span<double> values) { charge_vote(values.size()); }
 
 }  // namespace jmh::solve

@@ -35,7 +35,6 @@ class SimTransport : public InlineTransport {
 
   void apply_transition(const ord::Transition& t, std::uint64_t step) override;
   SweepStats run_phase(const PhaseContext& ctx) override;
-  std::vector<double> allreduce_sum(std::vector<double> values) override;
   void allreduce_sum(std::span<double> values) override;
 
   double modeled_time() const noexcept { return clock_.makespan; }

@@ -1,16 +1,8 @@
 #include "solve/transport.hpp"
 
-#include <algorithm>
-
 #include "obs/trace.hpp"
 
 namespace jmh::solve {
-
-void Transport::allreduce_sum(std::span<double> values) {
-  const std::vector<double> summed =
-      allreduce_sum(std::vector<double>(values.begin(), values.end()));
-  std::copy(summed.begin(), summed.end(), values.begin());
-}
 
 SweepStats Transport::run_phase(const PhaseContext& ctx) {
   SweepStats stats;

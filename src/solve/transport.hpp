@@ -196,17 +196,11 @@ class Transport {
   /// peer's mobile). @p step is the transition's global_step index.
   virtual void apply_transition(const ord::Transition& t, std::uint64_t step) = 0;
 
-  /// Element-wise global sum of @p values over all endpoints, returned
-  /// everywhere (the convergence vote). Identity for single-owner
-  /// transports.
-  virtual std::vector<double> allreduce_sum(std::vector<double> values) = 0;
-
-  /// Small-fixed-array overload: sums @p values in place across all
-  /// endpoints. The per-sweep convergence vote (two scalars) goes through
-  /// this so the steady-state sweep loop allocates no vote vectors;
-  /// single-owner transports override it to a pure identity. The default
-  /// round-trips through the vector overload.
-  virtual void allreduce_sum(std::span<double> values);
+  /// Element-wise global sum of @p values over all endpoints, accumulated
+  /// in place everywhere (the convergence vote). In place so the
+  /// steady-state sweep loop allocates no vote vectors; identity for
+  /// single-owner transports.
+  virtual void allreduce_sum(std::span<double> values) = 0;
 
   /// Executes one phase: default = per step, inter-block pairings on every
   /// owned node followed by the step's transition. Transports override to

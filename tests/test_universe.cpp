@@ -77,12 +77,16 @@ TEST(Universe, ExceptionPropagatesWithoutDeadlock) {
 }
 
 TEST(Universe, ExceptionInBarrierPropagates) {
+  // Repeated: a poison that lands between a waiter's predicate check and
+  // its sleep must still release it, or run() never returns.
   Universe u(3);
-  EXPECT_THROW(u.run([](Comm& c) {
-    if (c.rank() == 0) throw std::logic_error("boom");
-    c.barrier();
-  }),
-               std::logic_error);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_THROW(u.run([](Comm& c) {
+      if (c.rank() == 0) throw std::logic_error("boom");
+      c.barrier();
+    }),
+                 std::logic_error);
+  }
 }
 
 TEST(Universe, ReusableAfterFailure) {
