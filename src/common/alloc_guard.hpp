@@ -17,9 +17,8 @@
 //
 // AllocExempt marks the allocations that are *outside* the contract: the
 // mpi_lite wire copies a payload into the destination mailbox (that copy is
-// the modeled network, not the endpoint), and SimTransport's event charging
-// builds modeled-time bookkeeping. Scopes nest; exempt allocations simply
-// do not count.
+// the modeled network, not the endpoint). Scopes nest; exempt allocations
+// simply do not count.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,41 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
+#include <array>
 
 #include "common/assert.hpp"
 
 namespace jmh::sim {
+
+namespace {
+
+/// When the last of one node's messages finishes: the list schedule
+/// described in network.hpp. Message i is issued to the earliest-free of
+/// the node's injection slots; its transmission starts at the later of
+/// that time and its startup completion and holds the slot for elems * tw.
+double node_finish(const NodeStage& msgs, double ts, double tw, int ports, bool overlap_startup) {
+  // Startup issue times: message i's startup completes at (i+1)*ts. In the
+  // paper's analytical model no transmission begins before every startup
+  // has been issued. Even zero-size payloads end after their startups.
+  const double all_ready = static_cast<double>(msgs.size()) * ts;
+  // Links are distinct and below d, so a node never fills more slots than
+  // the cube has dimensions.
+  std::array<double, cube::Hypercube::kMaxDimension> slot_free{};
+  const std::size_t slots = std::min(msgs.size(), static_cast<std::size_t>(ports));
+  double finish = all_ready;
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    std::size_t s = 0;
+    for (std::size_t j = 1; j < slots; ++j)
+      if (slot_free[j] < slot_free[s]) s = j;
+    const double ready = overlap_startup ? static_cast<double>(i + 1) * ts : all_ready;
+    const double start = std::max(slot_free[s], ready);
+    slot_free[s] = start + msgs[i].elems * tw;
+    finish = std::max(finish, slot_free[s]);
+  }
+  return finish;
+}
+
+}  // namespace
 
 Network::Network(int d, SimConfig config) : topo_(d), config_(config) {}
 
@@ -18,84 +47,28 @@ double Network::run_stage(const std::vector<NodeStage>& stage) const {
       config_.machine.all_port() ? topo_.dimension() : config_.machine.ports;
   JMH_REQUIRE(ports >= 1 || topo_.dimension() == 0, "port count must be >= 1");
 
-  EventQueue q;
   double stage_end = 0.0;
-
-  // Per-node simulation state. Channels are dedicated per (node, link)
-  // direction and each node sends at most one packed message per link per
-  // stage, so there is no cross-node contention: each node's makespan is
-  // independent and the stage is their max. We still drive it through the
-  // event engine so port-limited injection is modelled faithfully.
-  for (cube::Node n = 0; n < topo_.num_nodes(); ++n) {
-    const NodeStage& msgs = stage[n];
-    // Validate distinct links (packing contract).
+  for (const NodeStage& msgs : stage) {
+    // Validate distinct links (packing contract) and sizes.
     for (std::size_t i = 0; i < msgs.size(); ++i) {
       JMH_REQUIRE(topo_.valid_link(msgs[i].link), "message link out of range");
+      JMH_REQUIRE(msgs[i].elems >= 0.0, "message size must be non-negative");
       for (std::size_t j = i + 1; j < msgs.size(); ++j)
         JMH_REQUIRE(msgs[i].link != msgs[j].link,
                     "messages on one link must be packed into one");
     }
     if (msgs.empty()) continue;
-
-    // Shared mutable state for this node's events.
-    auto in_flight = std::make_shared<int>(0);
-    auto next_to_inject = std::make_shared<std::size_t>(0);
-    auto ready_time = std::make_shared<std::vector<double>>();  // startup completion per msg
-
-    // Startup issue times: message i's startup completes at (i+1)*ts. In the
-    // paper's analytical model no transmission begins before every startup
-    // has been issued.
-    ready_time->resize(msgs.size());
-    const double all_ready = static_cast<double>(msgs.size()) * ts;
-    for (std::size_t i = 0; i < msgs.size(); ++i)
-      (*ready_time)[i] =
-          config_.overlap_startup ? static_cast<double>(i + 1) * ts : all_ready;
-
-    // Injection loop: start transmissions respecting the port limit.
-    // Ownership flows through the event chain: every scheduled event holds
-    // a shared_ptr to the closure, and the closure itself holds only a
-    // weak self-reference (re-locked while an owning event is invoking it)
-    // -- a direct self-capture would be a shared_ptr cycle and leak one
-    // closure per node per stage (LeakSanitizer catches this).
-    auto try_inject = std::make_shared<std::function<void()>>();
-    const std::weak_ptr<std::function<void()>> weak_self = try_inject;
-    *try_inject = [&q, &stage_end, msgs, in_flight, next_to_inject, ready_time, ports, tw,
-                   weak_self]() {
-      const std::shared_ptr<std::function<void()>> self = weak_self.lock();
-      JMH_CHECK(self != nullptr, "try_inject invoked without an owning event");
-      while (*next_to_inject < msgs.size() && *in_flight < ports) {
-        const std::size_t i = (*next_to_inject)++;
-        const double start = std::max(q.now(), (*ready_time)[i]);
-        const double finish = start + msgs[i].elems * tw;
-        ++*in_flight;
-        q.schedule(finish, [&stage_end, in_flight, self, finish]() {
-          --*in_flight;
-          stage_end = std::max(stage_end, finish);
-          (*self)();
-        });
-      }
-      // If ports are free but the next message's startup is pending, wake up
-      // when it becomes ready.
-      if (*next_to_inject < msgs.size() && *in_flight < ports) {
-        const double when = (*ready_time)[*next_to_inject];
-        if (when > q.now()) q.schedule(when, [self]() { (*self)(); });
-      }
-    };
-    q.schedule(0.0, [try_inject]() { (*try_inject)(); });
-    // Even a stage with sends but zero-size payloads ends after startups.
-    stage_end = std::max(stage_end, static_cast<double>(msgs.size()) * ts);
+    stage_end =
+        std::max(stage_end, node_finish(msgs, ts, tw, ports, config_.overlap_startup));
   }
-
-  q.run();
   return stage_end;
 }
 
-void Network::accumulate_stage(const std::vector<NodeStage>& stage, SimResult& acc) const {
+double Network::accumulate_stage(const std::vector<NodeStage>& stage, SimResult& acc) const {
   const std::size_t d = static_cast<std::size_t>(topo_.dimension());
   if (acc.link_busy.size() != topo_.num_nodes() * d)
     acc.link_busy.assign(topo_.num_nodes() * d, 0.0);
   const double t = run_stage(stage);
-  acc.stage_times.push_back(t);
   acc.makespan += t;
   for (cube::Node n = 0; n < topo_.num_nodes(); ++n) {
     for (const auto& msg : stage[n]) {
@@ -103,13 +76,14 @@ void Network::accumulate_stage(const std::vector<NodeStage>& stage, SimResult& a
           msg.elems * config_.machine.tw;
     }
   }
+  return t;
 }
 
 SimResult Network::run_program(const Program& program) const {
   SimResult result;
   result.stage_times.reserve(program.size());
   result.link_busy.assign(topo_.num_nodes() * static_cast<std::size_t>(topo_.dimension()), 0.0);
-  for (const auto& stage : program) accumulate_stage(stage, result);
+  for (const auto& stage : program) result.stage_times.push_back(accumulate_stage(stage, result));
   return result;
 }
 

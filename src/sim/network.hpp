@@ -1,5 +1,4 @@
-// Discrete-event simulation of communication programs on a multi-port
-// hypercube.
+// Simulation of communication programs on a multi-port hypercube.
 //
 // A *program* is a list of globally-synchronized stages; in each stage
 // every node sends zero or more packed messages, at most one per link (the
@@ -11,6 +10,15 @@
 //     elements occupies its directed channel for n*tw;
 //   * the port constraint: at most `ports` transmissions may be in flight
 //     from one node simultaneously (all-port: no limit beyond d).
+//
+// Channels are dedicated per (node, link) direction, so nodes never contend
+// and a stage lasts as long as its slowest node. Each node's schedule is
+// plain arithmetic: its messages take the node's `ports` injection slots in
+// issue order, each the earliest-free slot, and a transmission starts at
+// the later of that slot freeing up and the message's startup completing.
+// That is the list schedule a discrete-event run of the same rules
+// produces, value for value (tests/test_network_sim.cpp keeps such a run
+// as its oracle).
 //
 // Two startup disciplines are provided:
 //   * overlap_startup = false (the analytical model of the paper / [9]):
@@ -27,7 +35,6 @@
 
 #include "cube/hypercube.hpp"
 #include "pipe/machine.hpp"
-#include "sim/event_queue.hpp"
 
 namespace jmh::sim {
 
@@ -51,7 +58,9 @@ using Program = std::vector<std::vector<NodeStage>>;
 
 struct SimResult {
   double makespan = 0.0;
-  std::vector<double> stage_times;  ///< duration of each stage
+  /// Duration of each stage, recorded by run_program only (incremental
+  /// accumulate_stage clients keep just the totals).
+  std::vector<double> stage_times;
   /// Busy time of each directed channel, indexed node * d + link (time the
   /// channel spends transmitting, independent of scheduling details).
   std::vector<double> link_busy;
@@ -74,15 +83,16 @@ class Network {
   /// makespan and per-stage durations.
   SimResult run_program(const Program& program) const;
 
-  /// Duration of a single stage (no barrier overhead modelled).
+  /// Duration of a single stage (no barrier overhead modelled). Allocates
+  /// nothing.
   double run_stage(const std::vector<NodeStage>& stage) const;
 
-  /// Runs one stage and folds it into @p acc (appends the stage time, grows
-  /// the makespan, adds per-channel busy time). Lets incremental clients --
-  /// e.g. a SimTransport charging one protocol transition at a time --
-  /// build up a SimResult without materializing a whole Program. @p acc's
-  /// link_busy is sized on first use.
-  void accumulate_stage(const std::vector<NodeStage>& stage, SimResult& acc) const;
+  /// Runs one stage, folds it into @p acc (grows the makespan, adds
+  /// per-channel busy time) and returns its duration. Lets incremental
+  /// clients -- e.g. a SimTransport charging one protocol transition at a
+  /// time -- build up a SimResult without materializing a whole Program.
+  /// @p acc's link_busy is sized on first use; later calls allocate nothing.
+  double accumulate_stage(const std::vector<NodeStage>& stage, SimResult& acc) const;
 
  private:
   cube::Hypercube topo_;

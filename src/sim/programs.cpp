@@ -1,6 +1,7 @@
 #include "sim/programs.hpp"
 
-#include <map>
+#include <algorithm>
+#include <array>
 
 #include "common/assert.hpp"
 
@@ -12,18 +13,6 @@ namespace {
 // (SPMD), so build one NodeStage and replicate it.
 std::vector<NodeStage> replicate(const NodeStage& node_stage, std::uint64_t num_nodes) {
   return std::vector<NodeStage>(num_nodes, node_stage);
-}
-
-// Packs a window of links into per-link messages of packet_elems each.
-NodeStage pack_window(const std::vector<ord::Link>& links, std::size_t begin, std::size_t len,
-                      double packet_elems) {
-  std::map<ord::Link, int> mult;
-  for (std::size_t i = begin; i < begin + len; ++i) ++mult[links[i]];
-  NodeStage stage;
-  stage.reserve(mult.size());
-  for (const auto& [link, count] : mult)
-    stage.push_back({link, packet_elems * static_cast<double>(count)});
-  return stage;
 }
 
 }  // namespace
@@ -38,38 +27,54 @@ Program build_sweep_program(const ord::JacobiOrdering& ordering, int sweep, doub
   return program;
 }
 
-Program build_pipelined_links_program(const std::vector<ord::Link>& links, std::uint64_t q,
-                                      double step_elems, int d) {
+void for_each_pipelined_window(std::span<const ord::Link> links, std::uint64_t q,
+                               double step_elems, int d, NodeStage& window,
+                               common::FunctionRef<void(const NodeStage&)> emit) {
   JMH_REQUIRE(q >= 1, "pipelining degree must be >= 1");
   JMH_REQUIRE(!links.empty(), "pipelined phase needs at least one link");
+  JMH_REQUIRE(d <= cube::Hypercube::kMaxDimension, "cube dimension out of range");
   for (ord::Link link : links)
     JMH_REQUIRE(link >= 0 && link < d, "phase link does not fit the cube");
-  const std::uint64_t nodes = std::uint64_t{1} << d;
   const std::uint64_t k = links.size();
+  JMH_REQUIRE(q <= k || q - k + 1 <= (std::uint64_t{1} << 22),
+              "deep program too large to materialize");
   const double packet = step_elems / static_cast<double>(q);
-  const std::uint64_t window = std::min(q, k);
+  const std::uint64_t depth = std::min(q, k);
 
-  Program program;
+  // Packs links[begin, begin + len) into per-link messages of packet *
+  // multiplicity elements.
+  const auto pack = [&](std::uint64_t begin, std::uint64_t len) -> const NodeStage& {
+    std::array<std::uint64_t, cube::Hypercube::kMaxDimension> mult{};
+    for (std::uint64_t i = begin; i < begin + len; ++i)
+      ++mult[static_cast<std::size_t>(links[i])];
+    window.clear();
+    for (int link = 0; link < d; ++link) {
+      const std::uint64_t count = mult[static_cast<std::size_t>(link)];
+      if (count > 0) window.push_back({link, packet * static_cast<double>(count)});
+    }
+    return window;
+  };
+
   // Prologue: growing prefixes.
-  for (std::uint64_t j = 1; j < window; ++j)
-    program.push_back(replicate(pack_window(links, 0, static_cast<std::size_t>(j), packet), nodes));
+  for (std::uint64_t j = 1; j < depth; ++j) emit(pack(0, j));
   // Kernel.
   if (q <= k) {
-    for (std::uint64_t i = 0; i + q <= k; ++i)
-      program.push_back(replicate(
-          pack_window(links, static_cast<std::size_t>(i), static_cast<std::size_t>(q), packet),
-          nodes));
+    for (std::uint64_t i = 0; i + q <= k; ++i) emit(pack(i, q));
   } else {
-    JMH_REQUIRE(q - k + 1 <= (std::uint64_t{1} << 22),
-                "deep program too large to materialize");
-    const NodeStage full = pack_window(links, 0, static_cast<std::size_t>(k), packet);
-    for (std::uint64_t i = 0; i < q - k + 1; ++i) program.push_back(replicate(full, nodes));
+    pack(0, k);
+    for (std::uint64_t i = 0; i < q - k + 1; ++i) emit(window);
   }
   // Epilogue: shrinking suffixes.
-  for (std::uint64_t j = window - 1; j >= 1; --j)
-    program.push_back(replicate(
-        pack_window(links, static_cast<std::size_t>(k - j), static_cast<std::size_t>(j), packet),
-        nodes));
+  for (std::uint64_t j = depth - 1; j >= 1; --j) emit(pack(k - j, j));
+}
+
+Program build_pipelined_links_program(const std::vector<ord::Link>& links, std::uint64_t q,
+                                      double step_elems, int d) {
+  Program program;
+  NodeStage window;
+  for_each_pipelined_window(links, q, step_elems, d, window, [&](const NodeStage& stage) {
+    program.push_back(replicate(stage, std::uint64_t{1} << d));
+  });
   return program;
 }
 

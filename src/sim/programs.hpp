@@ -3,6 +3,9 @@
 // the analytical cost model (experiment E9 in DESIGN.md).
 #pragma once
 
+#include <span>
+
+#include "common/function_ref.hpp"
 #include "ord/ordering.hpp"
 #include "pipe/cost_model.hpp"
 #include "sim/network.hpp"
@@ -15,11 +18,24 @@ namespace jmh::sim {
 Program build_sweep_program(const ord::JacobiOrdering& ordering, int sweep, double step_elems);
 
 /// Program for one exchange phase pipelined with degree @p q: one stage per
-/// pipeline stage; per node, the window's packets packed per link. Shallow
-/// and deep modes both supported (deep materializes q - K + 1 kernel
-/// stages; keep q moderate).
+/// pipeline stage (for_each_pipelined_window), replicated over every node.
+/// Shallow and deep modes both supported (deep materializes q - K + 1
+/// kernel stages; keep q moderate).
 Program build_pipelined_phase_program(const ord::LinkSequence& seq, std::uint64_t q,
                                       double step_elems, int d);
+
+/// The stage windows of one exchange phase over @p links pipelined with
+/// degree @p q: the prologue's growing prefixes, the kernel windows (in
+/// deep mode, q > links.size(), q - K + 1 copies of the whole phase) and
+/// the epilogue's shrinking suffixes. Calls @p emit once per stage, in
+/// order, with one node's sends: the window's packets of step_elems / q
+/// elements packed per link, in ascending link order. @p window is the
+/// output buffer, rewritten for every stage; once its capacity covers d
+/// messages, generating allocates nothing. Every precondition is checked
+/// before the first emit.
+void for_each_pipelined_window(std::span<const ord::Link> links, std::uint64_t q,
+                               double step_elems, int d, NodeStage& window,
+                               common::FunctionRef<void(const NodeStage&)> emit);
 
 /// Same, from an explicit link list -- accepts sigma-rotated phase links,
 /// which use the whole [0, d) range and therefore cannot be wrapped in a

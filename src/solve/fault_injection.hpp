@@ -67,12 +67,6 @@ class FaultInjectingTransport final : public Transport {
   void allreduce_sum(std::span<double> values) override;
   SweepStats run_phase(const PhaseContext& ctx) override;
   std::vector<ColumnBlock> collect_blocks() override { return inner_.collect_blocks(); }
-  /// The scratch payload below allocates on the (throwing) corruption path
-  /// only; scheduling itself is pure arithmetic, so the inner transport's
-  /// steady-state allocation claim carries through.
-  bool steady_state_alloc_free() const noexcept override {
-    return inner_.steady_state_alloc_free();
-  }
 
  private:
   void inject_step_faults(std::uint64_t step);
@@ -81,6 +75,9 @@ class FaultInjectingTransport final : public Transport {
   FaultSchedule schedule_;
   std::uint64_t delay_us_;
   std::uint64_t votes_ = 0;  ///< allreduce stream index, SPMD-identical
+  // Sized on the (throwing) corruption path only; scheduling is pure
+  // arithmetic, so a wrapped transport's steady-state sweeps stay
+  // allocation-free under the engine's audit.
   net::Payload corrupt_scratch_;
   ColumnBlock corrupt_block_;
 };

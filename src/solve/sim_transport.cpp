@@ -18,18 +18,21 @@ double block_elems(const ColumnBlock& blk) {
 
 SimTransport::SimTransport(const la::Matrix& a, int d, const sim::SimConfig& config,
                            std::uint64_t q)
-    : InlineTransport(a, d), network_(d, config), q_(q) {}
+    : InlineTransport(a, d), network_(d, config), q_(q), stage_(nodes_.size()) {
+  // A node sends at most one message per link per stage.
+  for (sim::NodeStage& sends : stage_) sends.reserve(static_cast<std::size_t>(d));
+  window_.reserve(static_cast<std::size_t>(d));
+}
 
 void SimTransport::apply_transition(const ord::Transition& t, std::uint64_t step) {
   if (charge_transitions_) {
     const cube::Node bit = cube::Node{1} << t.link;
-    std::vector<sim::NodeStage> stage(nodes_.size());
     for (cube::Node n = 0; n < nodes_.size(); ++n) {
       const bool sends_fixed = t.division && (n & bit) != 0;
       const ColumnBlock& out = sends_fixed ? nodes_[n].fixed() : nodes_[n].mobile();
-      stage[n] = {{t.link, block_elems(out)}};
+      stage_[n].assign(1, {t.link, block_elems(out)});
     }
-    network_.accumulate_stage(stage, clock_);
+    network_.accumulate_stage(stage_, clock_);
   }
   InlineTransport::apply_transition(t, step);
 }
@@ -43,18 +46,19 @@ SweepStats SimTransport::run_phase(const PhaseContext& ctx) {
   // size, as in pipe/cost_model), then run the numerics uncharged --
   // pipelining reschedules the messages, it does not change which column
   // pairs meet.
-  std::vector<ord::Link> links;
-  links.reserve(ctx.phase.num_steps);
+  phase_links_.clear();
   for (std::size_t t = 0; t < ctx.phase.num_steps; ++t)
-    links.push_back(ctx.transitions[ctx.phase.first_step + t].link);
+    phase_links_.push_back(ctx.transitions[ctx.phase.first_step + t].link);
   // Uniform model block size: (B rows + V rows) elements per column. For
   // square inputs rows == m, giving exactly the historical 2 * m * cols.
   const double m = static_cast<double>(layout_.m());
   const double col_elems = static_cast<double>(nodes_.front().fixed().rows) + m;
   const double step_elems = col_elems * (m / static_cast<double>(layout_.num_blocks()));
-  const sim::Program program =
-      sim::build_pipelined_links_program(links, q_, step_elems, dimension());
-  for (const auto& stage : program) network_.accumulate_stage(stage, clock_);
+  sim::for_each_pipelined_window(phase_links_, q_, step_elems, dimension(), window_,
+                                 [this](const sim::NodeStage& sends) {
+                                   for (sim::NodeStage& node_sends : stage_) node_sends = sends;
+                                   network_.accumulate_stage(stage_, clock_);
+                                 });
 
   charge_transitions_ = false;
   SweepStats stats = Transport::run_phase(ctx);
@@ -68,9 +72,8 @@ void SimTransport::charge_vote(std::size_t num_values) {
   const double before = clock_.makespan;
   const double elems = static_cast<double>(num_values);
   for (int bit = 0; bit < dimension(); ++bit) {
-    const std::vector<sim::NodeStage> stage(nodes_.size(),
-                                            sim::NodeStage{{cube::Link{bit}, elems}});
-    network_.accumulate_stage(stage, clock_);
+    for (sim::NodeStage& sends : stage_) sends.assign(1, {cube::Link{bit}, elems});
+    network_.accumulate_stage(stage_, clock_);
   }
   vote_time_ += clock_.makespan - before;
 }

@@ -1,6 +1,6 @@
 // SimTransport: InlineTransport numerics plus a modeled clock. Every block
-// move of the sweep protocol is also executed as a stage on the sim/ event
-// network, so a solve reports the per-link communication time the paper's
+// move of the sweep protocol is also charged as a stage on the sim::Network
+// model, so a solve reports the per-link communication time the paper's
 // machine model (pipe::MachineParams) predicts for it -- the simulated
 // CC-cube scenario of the paper's Figure 2 methodology, directly
 // cross-checkable against the analytical pipe/cost_model closed forms.
@@ -10,15 +10,19 @@
 //     node sending the block it actually ships (2 * rows * ncols elements:
 //     the B and V columns; serialization headers are not part of the
 //     machine model) -- or, with q >= 1, the pipelined stage schedule of
-//     each exchange phase at degree q;
+//     each exchange phase at degree q (sim::for_each_pipelined_window);
 //   * the recursive-doubling convergence vote (d stages of a small packed
 //     message), which the analytical model omits -- kept separately
 //     inspectable via vote_time.
+// Every charge refills one reused per-node stage buffer and folds the stage
+// into a running makespan and per-channel busy time, so the steady-state
+// sweep allocates nothing and the engine audits it like any other backend.
 // Numerics are identical to InlineTransport in both modes: pipelining
 // changes the modeled schedule, not which column pairs meet.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/network.hpp"
 #include "solve/inline_transport.hpp"
@@ -40,12 +44,8 @@ class SimTransport : public InlineTransport {
   double modeled_time() const noexcept { return clock_.makespan; }
   double vote_time() const noexcept { return vote_time_; }
   int modeled_sweeps() const noexcept { return modeled_sweeps_; }
+  /// Makespan and per-channel busy time; stage_times stays empty.
   const sim::SimResult& clock() const noexcept { return clock_; }
-
-  /// Charging modeled time allocates event-queue and trace bookkeeping
-  /// every sweep -- that is the simulator's ledger, not endpoint work, so
-  /// the engine's steady-state allocation audit does not apply here.
-  bool steady_state_alloc_free() const noexcept override { return false; }
 
  private:
   void charge_vote(std::size_t num_values);
@@ -53,6 +53,9 @@ class SimTransport : public InlineTransport {
   sim::Network network_;
   std::uint64_t q_;
   sim::SimResult clock_;
+  std::vector<sim::NodeStage> stage_;  ///< per-node sends of the stage being charged
+  sim::NodeStage window_;              ///< pipelined window, before replication
+  std::vector<ord::Link> phase_links_;  ///< exchange-phase links after the sigma rotation
   double vote_time_ = 0.0;
   int modeled_sweeps_ = 0;
   bool charge_transitions_ = true;  // suppressed while a phase charges itself

@@ -99,11 +99,9 @@ EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering&
 
   // The PERF.md allocation-free claim, machine-checked: sweep 0 may size
   // scratch (transition list, transport arenas, the topk leading set);
-  // every later sweep of an alloc-free transport must allocate NOTHING on
-  // this thread. Audited per sweep in JMH_DASSERT builds, compiled out
-  // under NDEBUG.
-  const bool audit_allocs = transport.steady_state_alloc_free();
-
+  // every later sweep of every transport must allocate NOTHING on this
+  // thread. Audited per sweep in JMH_DASSERT builds, compiled out under
+  // NDEBUG.
   for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
     const common::AllocGuard sweep_guard;
     // Inside the guard deliberately: span recording must itself be
@@ -113,7 +111,7 @@ EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering&
                                     static_cast<std::uint64_t>(sweep),
                                     sink != nullptr ? &sink->sweep_ns : nullptr);
     const auto audit_sweep = [&] {
-      if (audit_allocs && sweep >= 1)
+      if (sweep >= 1)
         JMH_ALLOC_ASSERT_ZERO(sweep_guard,
                               "steady-state sweep allocated (PERF.md contract)");
     };

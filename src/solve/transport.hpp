@@ -13,7 +13,7 @@
 //     blocks travel as real messages over the hypercube overlay, with an
 //     optional packetized pipelined exchange-phase path;
 //   * SimTransport     -- InlineTransport numerics plus modeled time: every
-//     message is charged on the sim/ event network under
+//     message is charged as a stage of the sim::Network model under
 //     pipe::MachineParams, cross-checkable against pipe/cost_model.
 //
 // The engine is written as the SPMD program of one endpoint: single-owner
@@ -211,15 +211,6 @@ class Transport {
   /// All 2^{d+1} final blocks, available at every endpoint. Consumes the
   /// resident blocks; call once, after the protocol finishes.
   virtual std::vector<ColumnBlock> collect_blocks() = 0;
-
-  /// Whether this transport's steady-state sweep path (every sweep after
-  /// the first, once the scratch arenas are warm) performs no endpoint-side
-  /// heap allocations. When true, the sweep engine audits each steady-state
-  /// sweep with an AllocGuard in JMH_DASSERT builds -- the machine check of
-  /// the PERF.md allocation-free claim. SimTransport opts out: charging
-  /// modeled time allocates event bookkeeping by design (the model, not the
-  /// endpoint).
-  virtual bool steady_state_alloc_free() const noexcept { return true; }
 };
 
 }  // namespace jmh::solve

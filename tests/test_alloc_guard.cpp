@@ -6,8 +6,8 @@
 //      scopes hide wire allocations, rebase() restarts the window;
 //   2. the engine audit trips -- a transport that plants one allocation per
 //      phase makes run_sweep_protocol throw on the first steady-state sweep;
-//   3. the opt-out works -- the same leaky transport reporting
-//      steady_state_alloc_free() == false runs to convergence unaudited.
+//   3. clean transports pass -- inline, and the sim backend's modeled clock
+//      both unpipelined and pipelined, run to convergence under the audit.
 //
 // The counting shim exists only in JMH_DASSERT builds; under NDEBUG every
 // test here skips (the audit it covers is compiled out too).
@@ -23,6 +23,7 @@
 #include "la/sym_gen.hpp"
 #include "ord/ordering.hpp"
 #include "solve/inline_transport.hpp"
+#include "solve/sim_transport.hpp"
 #include "solve/sweep_engine.hpp"
 
 namespace jmh::solve {
@@ -70,18 +71,14 @@ TEST(AllocGuard, RebaseRestartsTheWindow) {
 // that silently regressed to per-sweep construction).
 class LeakyTransport : public InlineTransport {
  public:
-  LeakyTransport(const la::Matrix& a, int d, bool confess)
-      : InlineTransport(a, d), confess_(confess) {}
+  using InlineTransport::InlineTransport;
 
   SweepStats run_phase(const PhaseContext& ctx) override {
     leak_ = std::vector<double>(64, 1.0);
     return InlineTransport::run_phase(ctx);
   }
 
-  bool steady_state_alloc_free() const noexcept override { return confess_; }
-
  private:
-  bool confess_;
   std::vector<double> leak_;
 };
 
@@ -93,19 +90,10 @@ la::Matrix test_matrix() {
 TEST(AllocGuardEngine, AuditTripsOnPlantedPhaseAllocation) {
   SKIP_UNLESS_COUNTING();
   const la::Matrix a = test_matrix();
-  LeakyTransport transport(a, 1, /*confess=*/true);
+  LeakyTransport transport(a, 1);
   const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 1);
   EXPECT_THROW(run_sweep_protocol(transport, ordering, SolveOptions{}), std::invalid_argument)
       << "a per-phase allocation in sweep >= 1 must fail the steady-state audit";
-}
-
-TEST(AllocGuardEngine, OptOutTransportIsNotAudited) {
-  SKIP_UNLESS_COUNTING();
-  const la::Matrix a = test_matrix();
-  LeakyTransport transport(a, 1, /*confess=*/false);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 1);
-  const EngineResult res = run_sweep_protocol(transport, ordering, SolveOptions{});
-  EXPECT_TRUE(res.converged) << "opted-out transport must run unaudited to convergence";
 }
 
 TEST(AllocGuardEngine, CleanTransportPassesTheAudit) {
@@ -115,6 +103,16 @@ TEST(AllocGuardEngine, CleanTransportPassesTheAudit) {
   const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 1);
   const EngineResult res = run_sweep_protocol(transport, ordering, SolveOptions{});
   EXPECT_TRUE(res.converged);
+
+  // The sim backend charges every transition, pipelined window and vote on
+  // its modeled clock; that bookkeeping is under the same contract.
+  const ord::JacobiOrdering cube3(ord::OrderingKind::BR, 3);
+  for (const std::uint64_t q : {std::uint64_t{0}, std::uint64_t{2}}) {
+    SimTransport sim(a, 3, sim::SimConfig{}, q);
+    const EngineResult sim_res = run_sweep_protocol(sim, cube3, SolveOptions{});
+    EXPECT_TRUE(sim_res.converged) << "q=" << q;
+    EXPECT_GT(sim.modeled_time(), 0.0) << "q=" << q;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 // keeping the total within the 2x acceptance band.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "api/solver.hpp"
 #include "la/eigen_check.hpp"
@@ -114,6 +117,74 @@ TEST(SimTransport, VoteTimeIsSmallAndPositive) {
   ASSERT_TRUE(r.converged);
   EXPECT_GT(r.vote_time, 0.0);
   EXPECT_LT(r.vote_time, r.modeled_time);
+}
+
+// The modeled clock of sim solves, pinned bit for bit. The values were
+// recorded with the event-queue stage simulator on these exact specs and
+// inputs (Xoshiro256(42), eigensolver_cli's default --seed), before stages
+// were evaluated as direct schedules. The cost-model checks above allow
+// 1e-6 relative; this one catches any change of rounding or charge order.
+struct ClockPin {
+  const char* spec;
+  double modeled_time;
+  double vote_time;
+  int modeled_sweeps;
+  int sweeps;
+  double mean_link_utilization;
+  std::vector<double> link_busy;  ///< every channel, d = 2 specs only
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(SimTransport, ModeledClockIsPinnedBitForBit) {
+  const std::vector<ClockPin> pins = {
+      // The four sim_orderings specs of the end-to-end benchmark.
+      {"backend=sim,ordering=br,m=64,d=4,pipeline=auto,shift=1", 0x1.3b776p+22, 0x1.73ep+15, 9,
+       8, 0x1.6223718d5929ep-2, {}},
+      {"backend=sim,ordering=pbr,m=64,d=4,pipeline=auto,shift=1", 0x1.3b776p+22, 0x1.73ep+15, 9,
+       8, 0x1.6223718d5929ep-2, {}},
+      {"backend=sim,ordering=d4,m=64,d=4,pipeline=auto,shift=1", 0x1.3b776p+22, 0x1.73ep+15, 9,
+       8, 0x1.6223718d5929ep-2, {}},
+      {"backend=sim,ordering=minalpha,m=64,d=4,pipeline=auto,shift=1", 0x1.3b776p+22,
+       0x1.73ep+15, 9, 8, 0x1.6223718d5929ep-2, {}},
+      // Uneven blocks with fractional packets.
+      {"backend=sim,ordering=d4,m=50,d=3,pipeline=7", 0x1.094ec00000008p+22, 0x1.3308p+15, 10, 9,
+       0x1.7259305d1975dp-2, {}},
+      // q above the block width (deep kernel).
+      {"backend=sim,ordering=d4,m=16,d=2,pipeline=8", 0x1.11bbp+19, 0x1.4e6p+14, 8, 7,
+       0x1.4a6f3da5f2aa7p-2, std::vector<double>(8, 0x1.6152p+17)},
+      // Unpipelined, uneven blocks.
+      {"backend=sim,ordering=br,m=40,d=3", 0x1.ce8fap+21, 0x1.3308p+15, 10, 9,
+       0x1.1b0d801ed7c03p-2, {}},
+      // Port limit and overlapped startup.
+      {"backend=sim,ordering=minalpha,m=96,d=5,pipeline=3,ports=2,overlap=1", 0x1.b4a158p+23,
+       0x1.ffb8p+15, 10, 9, 0x1.046a914c52d2p-2, {}},
+      // Rectangular SVD blocks on a one-port machine.
+      {"task=svd,backend=sim,ordering=pbr,m=16,rows=24,d=2,pipeline=auto,ports=1,overlap=1",
+       0x1.008bp+19, 0x1.4e6p+14, 8, 7, 0x1.b7e327a976fc6p-2,
+       std::vector<double>(8, 0x1.b8d2p+17)},
+  };
+  for (const ClockPin& pin : pins) {
+    SCOPED_TRACE(pin.spec);
+    const SolverSpec spec = SolverSpec::parse(pin.spec);
+    Xoshiro256 rng(42);
+    const la::Matrix a = spec.task == Task::Svd
+                             ? la::random_uniform(spec.input_rows(), spec.m, rng)
+                             : la::random_uniform_symmetric(spec.m, rng);
+    const SolveReport r = Solver::plan(spec).solve(a);
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(bits(r.modeled_time), bits(pin.modeled_time)) << std::hexfloat << r.modeled_time;
+    EXPECT_EQ(bits(r.vote_time), bits(pin.vote_time)) << std::hexfloat << r.vote_time;
+    EXPECT_EQ(r.modeled_sweeps, pin.modeled_sweeps);
+    EXPECT_EQ(r.sweeps, pin.sweeps);
+    EXPECT_EQ(bits(r.mean_link_utilization()), bits(pin.mean_link_utilization))
+        << std::hexfloat << r.mean_link_utilization();
+    if (pin.link_busy.empty()) continue;
+    ASSERT_EQ(r.link_busy.size(), pin.link_busy.size());
+    for (std::size_t c = 0; c < pin.link_busy.size(); ++c)
+      EXPECT_EQ(bits(r.link_busy[c]), bits(pin.link_busy[c]))
+          << "channel " << c << ": " << std::hexfloat << r.link_busy[c];
+  }
 }
 
 }  // namespace
