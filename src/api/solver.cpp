@@ -165,7 +165,6 @@ SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering)
       q_ = 0;
       break;
     case PipeliningPolicy::Fixed:
-      JMH_REQUIRE(spec_.q >= 1, "PipeliningPolicy::Fixed needs q >= 1");
       q_ = spec_.q;
       break;
     case PipeliningPolicy::Auto: {
@@ -370,32 +369,30 @@ std::vector<SolveReport> SolvePlan::solve_batch(const std::vector<la::Matrix>& a
   return reports;
 }
 
+namespace {
+
+/// What both plan overloads check before an ordering exists, so an
+/// oversized cube is rejected in microseconds: validate() (which bounds d,
+/// so the shift below cannot overflow), then the core-column gate, phrased
+/// against the CORE geometry (a wide input solves its transpose, so the
+/// short side is what the blocks partition).
+void check_plannable(const SolverSpec& spec) {
+  spec.validate();
+  JMH_REQUIRE(adapter_for(spec.task).core_geometry(spec).cols >= (std::size_t{2} << spec.d),
+              "need at least one column per block (min(rows, m) >= 2^(d+1))");
+}
+
+}  // namespace
+
 SolvePlan Solver::plan(const SolverSpec& spec) {
+  check_plannable(spec);
   JMH_REQUIRE(spec.ordering != ord::OrderingKind::Custom,
               "custom orderings carry their own sequences; use plan(spec, ordering)");
-  return plan(spec, ord::JacobiOrdering(spec.ordering, spec.d));
+  return SolvePlan(spec, ord::JacobiOrdering(spec.ordering, spec.d));
 }
 
 SolvePlan Solver::plan(const SolverSpec& spec, ord::JacobiOrdering ordering) {
-  JMH_REQUIRE(spec.d >= 1, "hypercube dimension must be >= 1");
-  // Task-specific legality (shapes, bseed, per-task knob bans) lives with
-  // the adapter; the gates below are task-agnostic and phrased against the
-  // CORE geometry (wide inputs solve their transpose, so the short side is
-  // what the blocks partition and topk truncates).
-  const TaskAdapter& adapter = adapter_for(spec.task);
-  adapter.validate(spec);
-  const CoreGeometry geo = adapter.core_geometry(spec);
-  JMH_REQUIRE(geo.cols >= (std::size_t{2} << spec.d),
-              "need at least one column per block (min(rows, m) >= 2^(d+1))");
-  JMH_REQUIRE(spec.topk >= 0, "topk must be non-negative");
-  if (spec.topk > 0) {
-    JMH_REQUIRE(static_cast<std::size_t>(spec.topk) <= geo.cols,
-                "topk exceeds the core column count (min(rows, m))");
-    JMH_REQUIRE(spec.stop_rule == solve::StopRule::NoRotations,
-                "topk needs stop=norot (per-column activity has no off(A) analogue)");
-    JMH_REQUIRE(!spec.gershgorin_shift,
-                "topk needs shift=0 (the shift reorders the spectrum the ranking tracks)");
-  }
+  check_plannable(spec);
   return SolvePlan(spec, std::move(ordering));
 }
 

@@ -109,13 +109,14 @@ class SolvePlan {
 
 class Solver {
  public:
-  /// Compiles @p spec into a reusable plan. Validates the spec (d >= 1,
-  /// at least one column per block, ordering != Custom).
+  /// Compiles @p spec into a reusable plan. Before building the ordering it
+  /// runs spec.validate(), the core-column gate (min(rows, m) >= 2^(d+1))
+  /// and requires ordering != Custom; each throws std::invalid_argument.
   static SolvePlan plan(const SolverSpec& spec);
 
   /// Same, around a prebuilt ordering -- the route for Custom orderings
-  /// (and for callers that already paid the ordering construction).
-  /// Requires ordering.kind() == spec.ordering and
+  /// (and for callers that already paid the ordering construction). Runs
+  /// the same checks, and requires ordering.kind() == spec.ordering and
   /// ordering.dimension() == spec.d.
   static SolvePlan plan(const SolverSpec& spec, ord::JacobiOrdering ordering);
 

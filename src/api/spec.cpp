@@ -8,6 +8,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "cube/hypercube.hpp"
+
 namespace jmh::api {
 
 namespace {
@@ -68,11 +70,6 @@ double parse_double(std::string_view key, const std::string& value) {
   const double v = std::strtod(value.c_str(), &end);
   if (errno != 0 || end != value.c_str() + value.size() || value.empty())
     fail("key '" + std::string(key) + "' needs a number, got '" + value + "'");
-  // NaN compares false against every bound below, so "threshold=nan" would
-  // sail through its sign check and poison the convergence math; Inf
-  // likewise poisons the cost model. Reject both, naming the key.
-  if (!std::isfinite(v))
-    fail("key '" + std::string(key) + "' needs a finite number, got '" + value + "'");
   return v;
 }
 
@@ -81,6 +78,15 @@ bool parse_bool(std::string_view key, const std::string& value) {
   if (value == "0" || value == "false" || value == "no" || value == "off") return false;
   fail("key '" + std::string(key) + "' needs 0|1, got '" + value + "'");
 }
+
+[[noreturn]] void reject(std::string_view key, const std::string& rule) {
+  throw std::invalid_argument("SolverSpec::validate: key '" + std::string(key) + "' " + rule);
+}
+
+/// A double parse_double reads back from its canonical form: 0 or a normal
+/// number. False for NaN and Inf, and for subnormals, which strtod reports
+/// as out of range.
+bool parsable(double v) { return v == 0.0 || std::isnormal(v); }
 
 }  // namespace
 
@@ -134,6 +140,67 @@ solve::SolveOptions SolverSpec::solve_options() const {
   // deadline_ms is NOT resolved here: a deadline is relative to solve()
   // entry, so SolvePlan::solve derives the cancel token per call.
   return opts;
+}
+
+void SolverSpec::validate() const {
+  // Value ranges. Each test is written as what a legal value satisfies, so
+  // a NaN (false against every comparison) fails it.
+  if (!(m >= 1)) reject("m", "must be >= 1");
+  if (!(d >= 1 && d <= cube::Hypercube::kMaxDimension))
+    reject("d", "must be in [1, " + std::to_string(cube::Hypercube::kMaxDimension) + "], got " +
+                std::to_string(d));
+  if (pipelining == PipeliningPolicy::Fixed && !(q >= 1))
+    reject("pipeline", "needs q >= 1 (or off|auto)");
+  if (!(parsable(machine.ts) && machine.ts >= 0.0))
+    reject("ts", "needs a finite number >= 0, got " + format_double(machine.ts));
+  if (!(parsable(machine.tw) && machine.tw >= 0.0))
+    reject("tw", "needs a finite number >= 0, got " + format_double(machine.tw));
+  if (!(machine.ports >= 1 || machine.all_port())) reject("ports", "must be >= 1 or 'all'");
+  if (!(parsable(threshold) && threshold > 0.0))
+    reject("threshold", "needs a finite number > 0, got " + format_double(threshold));
+  if (!(max_sweeps >= 1)) reject("max_sweeps", "must be >= 1");
+  if (!(parsable(off_tol) && off_tol > 0.0))
+    reject("off_tol", "needs a finite number > 0, got " + format_double(off_tol));
+  if (!(topk >= 0)) reject("topk", "must be >= 0");
+  if (!(threads <= kMaxThreads))
+    reject("threads", "exceeds the maximum " + std::to_string(kMaxThreads) + ", got " +
+                      std::to_string(threads));
+  // Bounded well under steady_clock's representable range so
+  // now() + deadline never overflows the time_point arithmetic.
+  if (!(deadline_ms <= 1000000000ull)) reject("deadline_ms", "exceeds the maximum 1000000000");
+  if (faults.enabled()) {
+    for (double rate : {faults.corrupt_rate, faults.delay_rate, faults.vote_fail_rate})
+      if (!(parsable(rate) && rate >= 0.0 && rate <= 1.0))
+        reject("faults", "rates must be in [0, 1]");
+    if (!(faults.delay_us <= 1000000000ull))
+      reject("faults", "delay_us exceeds the maximum 1000000000");
+  }
+
+  // Cross-key constraints (on final values: key order in a parsed string
+  // does not matter).
+  if ((task == Task::Evd || task == Task::Gevd) && !(rows == 0 || rows == m))
+    reject("rows", "!= m needs task=svd|pca (the eigenproblem input is square m x m), got " +
+                   std::to_string(rows));
+  if (task != Task::Evd && gershgorin_shift)
+    reject("shift", "needs task=evd (a diagonal shift has no SVD/PCA/GEVD meaning)");
+  if (task == Task::Gevd && !(bseed >= 1))
+    reject("bseed", "must be >= 1 for task=gevd (names the deterministic SPD B-side)");
+  if (task != Task::Gevd && bseed != 0)
+    reject("bseed", "needs task=gevd (no other task has a B-side matrix)");
+  if (topk > 0) {
+    if (task != Task::Evd && task != Task::Svd)
+      reject("topk", "needs task=evd|svd (pca/gevd assemble over the full spectrum)");
+    // The core partitions min(rows, m) columns (a wide input is solved as
+    // its transpose), so that is the truncation ceiling.
+    const std::size_t core_cols = rows != 0 && rows < m ? rows : m;
+    if (static_cast<std::size_t>(topk) > core_cols)
+      reject("topk", "exceeds the core column count " + std::to_string(core_cols) +
+                     " (min(rows, m)), got " + std::to_string(topk));
+    if (stop_rule != solve::StopRule::NoRotations)
+      reject("topk", "needs stop=norot (per-column activity has no off(A) analogue)");
+    if (gershgorin_shift)
+      reject("topk", "needs shift=0 (the shift reorders the spectrum the ranking tracks)");
+  }
 }
 
 std::string SolverSpec::to_string() const {
@@ -239,12 +306,10 @@ SolverSpec SolverSpec::parse(const std::string& text) {
       mark_seen(key, kM);
       spec.m = static_cast<std::size_t>(
           parse_uint_bounded(key, value, std::numeric_limits<std::size_t>::max()));
-      if (spec.m == 0) fail("m must be >= 1");
     } else if (key == "d") {
       mark_seen(key, kD);
       spec.d = static_cast<int>(
           parse_uint_bounded(key, value, std::numeric_limits<int>::max()));
-      if (spec.d < 1) fail("d must be >= 1");
     } else if (key == "pipeline") {
       mark_seen(key, kPipeline);
       if (value == "off") {
@@ -254,16 +319,13 @@ SolverSpec SolverSpec::parse(const std::string& text) {
       } else {
         spec.pipelining = PipeliningPolicy::Fixed;
         spec.q = parse_uint(key, value);
-        if (spec.q < 1) fail("pipeline=<q> needs q >= 1 (or off|auto)");
       }
     } else if (key == "ts") {
       mark_seen(key, kTs);
       spec.machine.ts = parse_double(key, value);
-      if (spec.machine.ts < 0.0) fail("ts must be >= 0");
     } else if (key == "tw") {
       mark_seen(key, kTw);
       spec.machine.tw = parse_double(key, value);
-      if (spec.machine.tw < 0.0) fail("tw must be >= 0");
     } else if (key == "ports") {
       mark_seen(key, kPorts);
       if (value == "all") {
@@ -271,7 +333,6 @@ SolverSpec SolverSpec::parse(const std::string& text) {
       } else {
         spec.machine.ports = static_cast<int>(
             parse_uint_bounded(key, value, std::numeric_limits<int>::max()));
-        if (spec.machine.ports < 1) fail("ports must be >= 1 or 'all'");
       }
     } else if (key == "overlap") {
       mark_seen(key, kOverlap);
@@ -279,12 +340,10 @@ SolverSpec SolverSpec::parse(const std::string& text) {
     } else if (key == "threshold") {
       mark_seen(key, kThreshold);
       spec.threshold = parse_double(key, value);
-      if (spec.threshold <= 0.0) fail("threshold must be > 0");
     } else if (key == "max_sweeps") {
       mark_seen(key, kMaxSweeps);
       spec.max_sweeps = static_cast<int>(
           parse_uint_bounded(key, value, std::numeric_limits<int>::max()));
-      if (spec.max_sweeps < 1) fail("max_sweeps must be >= 1");
     } else if (key == "stop") {
       mark_seen(key, kStop);
       if (value == "norot") spec.stop_rule = solve::StopRule::NoRotations;
@@ -294,7 +353,6 @@ SolverSpec SolverSpec::parse(const std::string& text) {
     } else if (key == "off_tol") {
       mark_seen(key, kOffTol);
       spec.off_tol = parse_double(key, value);
-      if (spec.off_tol <= 0.0) fail("off_tol must be > 0");
     } else if (key == "shift") {
       mark_seen(key, kShift);
       spec.gershgorin_shift = parse_bool(key, value);
@@ -311,9 +369,7 @@ SolverSpec SolverSpec::parse(const std::string& text) {
           parse_uint_bounded(key, value, std::numeric_limits<std::size_t>::max()));
     } else if (key == "deadline_ms") {
       mark_seen(key, kDeadlineMs);
-      // Bounded well under steady_clock's representable range so
-      // now() + deadline never overflows the time_point arithmetic.
-      spec.deadline_ms = parse_uint_bounded(key, value, 1000000000ull);
+      spec.deadline_ms = parse_uint(key, value);
     } else if (key == "trace") {
       mark_seen(key, kTrace);
       spec.trace = parse_bool(key, value);
@@ -341,48 +397,19 @@ SolverSpec SolverSpec::parse(const std::string& text) {
         if (spec.faults.seed == 0) fail("key 'faults' seed must be >= 1 (use faults=off to disable)");
         spec.faults.corrupt_rate = parse_double(key, parts[1]);
         spec.faults.delay_rate = parse_double(key, parts[2]);
-        spec.faults.delay_us = parse_uint_bounded(key, parts[3], 1000000000ull);
+        spec.faults.delay_us = parse_uint(key, parts[3]);
         spec.faults.vote_fail_rate = parse_double(key, parts[4]);
-        for (double rate : {spec.faults.corrupt_rate, spec.faults.delay_rate,
-                            spec.faults.vote_fail_rate})
-          if (rate < 0.0 || rate > 1.0) fail("key 'faults' rates must be in [0, 1]");
       }
     } else {
       fail("unknown key '" + std::string(key) + "'");
     }
-  }
-  // Cross-key constraints (checked on the final values, so key order in the
-  // input does not matter). Solver::plan re-validates for specs built
-  // programmatically.
-  if ((spec.task == Task::Evd || spec.task == Task::Gevd) && spec.rows != 0 &&
-      spec.rows != spec.m)
-    fail("rows=" + std::to_string(spec.rows) +
-         " needs task=svd|pca (the eigenproblem input is square m x m)");
-  if (spec.task != Task::Evd && spec.gershgorin_shift)
-    fail("shift=1 needs task=evd (a diagonal shift has no SVD/PCA/GEVD meaning)");
-  if (spec.task == Task::Gevd && spec.bseed == 0)
-    fail("task=gevd needs bseed=<seed> >= 1 (names the deterministic SPD B-side)");
-  if (spec.task != Task::Gevd && spec.bseed != 0)
-    fail("key 'bseed' needs task=gevd (no other task has a B-side matrix)");
-  if (spec.topk > 0) {
-    if (spec.task != Task::Evd && spec.task != Task::Svd)
-      fail("topk needs task=evd|svd (pca/gevd assemble over the full spectrum)");
-    // The core partitions min(rows, m) columns (a wide input is solved as
-    // its transpose), so that is the truncation ceiling.
-    const std::size_t core_cols = spec.rows != 0 && spec.rows < spec.m ? spec.rows : spec.m;
-    if (static_cast<std::size_t>(spec.topk) > core_cols)
-      fail("topk=" + std::to_string(spec.topk) + " exceeds the core column count " +
-           std::to_string(core_cols) + " (min(rows, m))");
-    if (spec.stop_rule != solve::StopRule::NoRotations)
-      fail("topk needs stop=norot (per-column activity has no off(A) analogue)");
-    if (spec.gershgorin_shift)
-      fail("topk needs shift=0 (the shift reorders the spectrum the ranking tracks)");
   }
   // "rows=m" and "rows=0" name the same square scenario: normalize, so the
   // two spellings parse to EQUAL specs with one canonical string (otherwise
   // the plan cache would compile duplicate plans for one scenario -- the
   // same aliasing the leading-'+' rejection exists to prevent).
   if (spec.rows == spec.m) spec.rows = 0;
+  spec.validate();
   return spec;
 }
 

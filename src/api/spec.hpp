@@ -25,7 +25,8 @@
 //                              (rows > m) runs directly, wide (rows < m) is
 //                              solved as the transpose with U/V swapped in
 //                              assembly (default 0)
-//   d=<n>                      hypercube dimension (default 2)
+//   d=<n>                      hypercube dimension, 1..26
+//                              (cube::Hypercube::kMaxDimension) (default 2)
 //   pipeline=off|auto|<q>      exchange-phase packetization (default off);
 //                              auto = pipe::find_optimal_sweep_q
 //   ts=<f> tw=<f> ports=all|<n>   machine model (Sim charging + Auto choice)
@@ -56,8 +57,8 @@
 //                              the full solve
 //   threads=<n>                resize the process-wide exec::ThreadPool to n
 //                              workers at plan time (best-effort: an active
-//                              pool keeps its width); 0 = leave as is
-//                              (default 0)
+//                              pool keeps its width); 0 = leave as is, at
+//                              most SolverSpec::kMaxThreads (default 0)
 //   deadline_ms=<n>            per-solve wall-clock budget, measured from
 //                              solve() entry; the engine stops at the next
 //                              sweep boundary past it and the solve fails
@@ -129,13 +130,18 @@ enum class PipeliningPolicy {
 };
 
 struct SolverSpec {
+  /// Upper bound on `threads`: ThreadPool::ensure_workers starts every
+  /// requested worker, so an unbounded value in a received spec string
+  /// could start that many threads. Matches net::Universe's rank bound.
+  static constexpr std::size_t kMaxThreads = 4096;
+
   Task task = Task::Evd;
   std::size_t m = 32;   ///< matrix order (task=svd: column count)
   /// Input rows; 0 = square (== m), and rows == m is normalized to 0 by
   /// parse/to_string so each scenario has one canonical name. Non-square
   /// (tall rows > m or wide rows < m) needs task=svd|pca.
   std::size_t rows = 0;
-  int d = 2;                                              ///< hypercube dimension
+  int d = 2;  ///< hypercube dimension, 1..cube::Hypercube::kMaxDimension
   ord::OrderingKind ordering = ord::OrderingKind::Degree4;
   Backend backend = Backend::Inline;
   PipeliningPolicy pipelining = PipeliningPolicy::Off;
@@ -158,8 +164,9 @@ struct SolverSpec {
   /// (solve::SolveOptions::topk has the precise semantics).
   int topk = 0;
   /// Requested exec::ThreadPool width, applied best-effort at plan time
-  /// (ThreadPool::ensure_workers); 0 = leave the pool as is. Not part of the
-  /// numerical scenario -- results are identical for every value.
+  /// (ThreadPool::ensure_workers); 0 = leave the pool as is, at most
+  /// kMaxThreads. Not part of the numerical scenario -- results are
+  /// identical for every value.
   std::size_t threads = 0;
   /// Per-solve wall-clock budget in milliseconds, measured from solve()
   /// entry; 0 = no deadline. SolvePlan::solve derives a deadline token from
@@ -181,18 +188,26 @@ struct SolverSpec {
   /// The row count an input matrix must have (rows, or m when rows == 0).
   std::size_t input_rows() const noexcept { return rows == 0 ? m : rows; }
 
+  /// The one home of spec legality: every value range and cross-key rule
+  /// of the grammar above, each phrased so that NaN fails it. Throws
+  /// std::invalid_argument naming the offending key; allocates nothing when
+  /// the spec is legal. parse() and Solver::plan both run it, so they
+  /// accept the same scenarios.
+  void validate() const;
+
   /// Canonical textual name: every key in a fixed order, doubles printed
-  /// round-trip exactly. parse(to_string(s)) == s for every parseable spec;
-  /// the one exception is ordering = Custom, which renders as
-  /// "ordering=custom" for display but cannot be parsed back (custom
-  /// sequences only exist programmatically).
+  /// round-trip exactly. parse(to_string(s)) == s for every spec parse
+  /// returns, and parse(to_string(s)).to_string() == to_string(s) for every
+  /// spec Solver::plan accepts (ordering=custom aside: it renders for
+  /// display but cannot be parsed back, since custom sequences only exist
+  /// programmatically).
   std::string to_string() const;
 
-  /// Parses a key=value spec (see grammar above), starting from defaults.
-  /// Throws std::invalid_argument on unknown keys, malformed tokens, or
-  /// invalid values (including ordering=custom: custom orderings carry
-  /// their own sequences and must be supplied programmatically to
-  /// Solver::plan).
+  /// Parses a key=value spec (see grammar above), starting from defaults,
+  /// then runs validate(). Parsing itself checks only syntax: token shape,
+  /// unknown and duplicate keys, ordering=custom, number syntax, integer
+  /// narrowing, and the faults field count with its reserved seed 0.
+  /// Throws std::invalid_argument naming the offending key.
   static SolverSpec parse(const std::string& text);
 
   bool operator==(const SolverSpec&) const = default;

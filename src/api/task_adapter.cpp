@@ -23,11 +23,6 @@ class EvdAdapter final : public TaskAdapter {
   Task task() const noexcept override { return Task::Evd; }
   CoreKind core_kind() const noexcept override { return CoreKind::Eigen; }
 
-  void validate(const SolverSpec& spec) const override {
-    JMH_REQUIRE(spec.rows == 0 || spec.rows == spec.m,
-                "rows != m needs task=svd|pca (the eigenproblem input is square)");
-  }
-
   CoreGeometry core_geometry(const SolverSpec& spec) const override {
     return {spec.m, spec.m};
   }
@@ -61,10 +56,6 @@ class SvdAdapter final : public TaskAdapter {
  public:
   Task task() const noexcept override { return Task::Svd; }
   CoreKind core_kind() const noexcept override { return CoreKind::Svd; }
-
-  void validate(const SolverSpec& spec) const override {
-    JMH_REQUIRE(!spec.gershgorin_shift, "shift=1 needs task=evd");
-  }
 
   CoreGeometry core_geometry(const SolverSpec& spec) const override {
     // The blocks partition the SHORT side: a wide input is solved as its
@@ -101,12 +92,6 @@ class PcaAdapter final : public TaskAdapter {
   Task task() const noexcept override { return Task::Pca; }
   CoreKind core_kind() const noexcept override { return CoreKind::Svd; }
 
-  void validate(const SolverSpec& spec) const override {
-    JMH_REQUIRE(!spec.gershgorin_shift, "shift=1 needs task=evd");
-    JMH_REQUIRE(spec.topk == 0,
-                "topk needs task=evd|svd (pca assembles over the full spectrum)");
-  }
-
   CoreGeometry core_geometry(const SolverSpec& spec) const override {
     if (is_wide(spec)) return {spec.rows, spec.m};
     return {spec.m, spec.input_rows()};
@@ -142,16 +127,6 @@ class GevdAdapter final : public TaskAdapter {
  public:
   Task task() const noexcept override { return Task::Gevd; }
   CoreKind core_kind() const noexcept override { return CoreKind::Eigen; }
-
-  void validate(const SolverSpec& spec) const override {
-    JMH_REQUIRE(spec.rows == 0 || spec.rows == spec.m,
-                "rows != m needs task=svd|pca (the generalized eigenproblem input is square)");
-    JMH_REQUIRE(spec.bseed >= 1,
-                "task=gevd needs bseed >= 1 (names the deterministic SPD B-side)");
-    JMH_REQUIRE(!spec.gershgorin_shift, "shift=1 needs task=evd");
-    JMH_REQUIRE(spec.topk == 0,
-                "topk needs task=evd|svd (gevd assembles over the full spectrum)");
-  }
 
   CoreGeometry core_geometry(const SolverSpec& spec) const override {
     return {spec.m, spec.m};

@@ -5,12 +5,15 @@
 // orthogonalizes the columns of B = A_core * V over a hypercube of blocks --
 // and differs only at the edges:
 //
-//         validate(spec)            plan-time: task-specific spec legality
 //         core_geometry(spec)       plan-time: the shape the CORE solves
 //   a --> check_input(spec, a)      solve-time: input-shape REQUIREs
 //     --> prepare(spec, a)          pre-transform: the matrix the core sees
 //     --> [sweep core: SolvePlan::solve_prepared, backend-dispatched]
 //     --> assemble(spec, prep, report)   post-transform on the core result
+//
+// Adapters only ever see specs SolverSpec::validate() accepted: the
+// per-task legality rules (shapes, bseed, the shift/topk bans) live there
+// with the rest of the spec rules, not here.
 //
 // The core's output (a SolveReport carrying the raw eigen/svd solution of
 // the PREPARED matrix) plays the CoreResult role: assemble edits it in
@@ -78,11 +81,6 @@ class TaskAdapter {
 
   /// Which core extraction this task consumes (fixed per task).
   virtual CoreKind core_kind() const noexcept = 0;
-
-  /// Plan-time spec legality beyond the global checks (throws
-  /// std::invalid_argument via JMH_REQUIRE). Solver::plan calls this for
-  /// every spec, parsed or programmatic.
-  virtual void validate(const SolverSpec& spec) const = 0;
 
   /// The core problem shape for @p spec: what the BlockLayout partitions,
   /// what the m >= 2^(d+1) gate applies to, and what the pipelining

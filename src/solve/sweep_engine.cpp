@@ -53,6 +53,7 @@ EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering&
   // historical vote widths, so arming nothing stays bit-identical (including
   // SimTransport's modeled vote time, which depends on the vote width).
   const bool cancellable = opts.cancel.armed();
+  const std::size_t flag_slots = cancellable ? 1 : 0;
   const auto cancel_flag = [&] {
     return opts.cancel.poll() != common::CancelReason::None ? 1.0 : 0.0;
   };
@@ -63,36 +64,34 @@ EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering&
   std::atomic<std::uint64_t>* const comm_acc = sink != nullptr ? &sink->comm_ns : nullptr;
 
   EngineResult out;
-  double frob2 = 0.0;
-  transport.visit_nodes([&](JacobiNode& node) { frob2 += node.frobenius_squared(); });
-  if (cancellable) {
-    std::array<double, 2> init = {frob2, cancel_flag()};
-    {
-      const obs::SpanScope comm_span("allreduce.init", obs::Category::kComm, 0, comm_acc);
-      transport.allreduce_sum(std::span<double>(init));
-    }
-    frob2 = init[0];
-    if (init[1] != 0.0) {  // cancelled before the first sweep
-      out.status = cancel_status(opts.cancel);
-      return out;
-    }
-  } else {
+  std::array<double, 2> init = {0.0, 0.0};  // [frob2, cancel flag?]
+  transport.visit_nodes([&](JacobiNode& node) { init[0] += node.frobenius_squared(); });
+  if (cancellable) init[1] = cancel_flag();
+  {
     const obs::SpanScope comm_span("allreduce.init", obs::Category::kComm, 0, comm_acc);
-    transport.allreduce_sum(std::span<double>(&frob2, 1));
+    transport.allreduce_sum(std::span<double>(init).first(1 + flag_slots));
+  }
+  const double frob2 = init[0];
+  if (init[1] != 0.0) {  // cancelled before the first sweep
+    out.status = cancel_status(opts.cancel);
+    return out;
   }
 
   const std::size_t steps_per_sweep = ordering.steps_per_sweep();
   double total_rotations = 0.0;
 
-  // Truncated mode: the vote becomes [norm2_0..norm2_{m-1},
-  // act_0..act_{m-1}, rotations, off2]. Each column's norm is computed
-  // entirely on its owning endpoint (every other endpoint contributes an
-  // exact 0.0), and the activity flags are small integer sums, so the
-  // allreduce stays exact and every endpoint ranks columns identically.
+  // One vote layout, [norm2_0..norm2_{m-1}, act_0..act_{m-1}, rotations,
+  // off2, cancel flag?], with m = 0 unless truncated: a full solve votes
+  // [rotations, off2, flag?]. In truncated mode each column's norm is
+  // computed entirely on its owning endpoint (every other endpoint
+  // contributes an exact 0.0), and the activity flags are small integer
+  // sums, so the allreduce stays exact and every endpoint ranks columns
+  // identically.
   const auto topk = static_cast<std::size_t>(opts.topk);
   const std::size_t m = topk > 0 ? transport.num_columns() : 0;
   JMH_REQUIRE(topk <= m || topk == 0, "topk exceeds the column count");
-  std::vector<double> vote(topk > 0 ? 2 * m + 2 + (cancellable ? 1 : 0) : 0);
+  std::vector<double> vote(2 * m + 2 + flag_slots);
+  double* const tally = vote.data() + 2 * m;  // [rotations, off2, flag?]
   std::vector<std::uint8_t> activity(m);
   std::vector<std::size_t> ranking(m);
   std::vector<ord::Transition> transitions;  // reused across sweeps
@@ -110,11 +109,6 @@ EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering&
     const obs::SpanScope sweep_span("sweep", obs::Category::kSweep,
                                     static_cast<std::uint64_t>(sweep),
                                     sink != nullptr ? &sink->sweep_ns : nullptr);
-    const auto audit_sweep = [&] {
-      if (sweep >= 1)
-        JMH_ALLOC_ASSERT_ZERO(sweep_guard,
-                              "steady-state sweep allocated (PERF.md contract)");
-    };
     SweepStats stats;
     std::uint8_t* act = topk > 0 ? activity.data() : nullptr;
     if (act) std::fill(activity.begin(), activity.end(), std::uint8_t{0});
@@ -127,22 +121,26 @@ EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering&
           {phase, transitions, sweep, steps_per_sweep, opts.threshold, act, sink});
 
     if (topk > 0) {
-      std::fill(vote.begin(), vote.end(), 0.0);
+      const std::span<double> norms = std::span<double>(vote).first(m);
+      std::fill(norms.begin(), norms.end(), 0.0);
       transport.visit_nodes([&](JacobiNode& node) {
-        write_column_norms(node.fixed(), std::span<double>(vote).first(m));
-        write_column_norms(node.mobile(), std::span<double>(vote).first(m));
+        write_column_norms(node.fixed(), norms);
+        write_column_norms(node.mobile(), norms);
       });
       for (std::size_t k = 0; k < m; ++k) vote[m + k] = static_cast<double>(activity[k]);
-      vote[2 * m] = static_cast<double>(stats.rotations);
-      vote[2 * m + 1] = stats.off2;
-      if (cancellable) vote[2 * m + 2] = cancel_flag();
-      {
-        const obs::SpanScope comm_span("allreduce.vote", obs::Category::kComm,
-                                       static_cast<std::uint64_t>(sweep), comm_acc);
-        transport.allreduce_sum(std::span<double>(vote));
-      }
-      total_rotations += vote[2 * m];
+    }
+    tally[0] = static_cast<double>(stats.rotations);
+    tally[1] = stats.off2;
+    if (cancellable) tally[2] = cancel_flag();
+    {
+      const obs::SpanScope comm_span("allreduce.vote", obs::Category::kComm,
+                                     static_cast<std::uint64_t>(sweep), comm_acc);
+      transport.allreduce_sum(std::span<double>(vote));
+    }
+    total_rotations += tally[0];
 
+    bool converged = false;
+    if (topk > 0) {
       // Rank columns by global norm descending, index ascending -- the same
       // comparator la::svd_from_bv applies to sigma (sqrt is monotone), so
       // the engine's leading set is exactly the head of assembly's order.
@@ -151,46 +149,10 @@ EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering&
         return vote[x] != vote[y] ? vote[x] > vote[y] : x < y;
       });
       out.leading.assign(ranking.begin(), ranking.begin() + static_cast<std::ptrdiff_t>(topk));
-      bool leading_inactive = true;
-      for (std::size_t i = 0; i < topk && leading_inactive; ++i)
-        leading_inactive = vote[m + ranking[i]] == 0.0;
-      if (leading_inactive) {
-        out.converged = true;
-        // Rotations may still have landed on trailing columns this sweep;
-        // count it iff it did work (keeps topk == m bit-identical to the
-        // full NoRotations path, where the final all-skip sweep is free).
-        if (vote[2 * m] > 0.0) ++out.sweeps;
-        audit_sweep();
-        break;
-      }
-      ++out.sweeps;
-      // Cancellation yields to convergence: a sweep that both converged
-      // and saw the deadline expire still delivers its result.
-      if (cancellable && vote[2 * m + 2] != 0.0) {
-        out.status = cancel_status(opts.cancel);
-        audit_sweep();
-        break;
-      }
-      audit_sweep();
-      continue;
-    }
-
-    // The vote is a fixed small array: no per-sweep vector allocation. The
-    // third slot exists only for cancellable runs (span width 2 otherwise).
-    std::array<double, 3> global = {static_cast<double>(stats.rotations), stats.off2,
-                                    cancellable ? cancel_flag() : 0.0};
-    {
-      const obs::SpanScope comm_span("allreduce.vote", obs::Category::kComm,
-                                     static_cast<std::uint64_t>(sweep), comm_acc);
-      transport.allreduce_sum(std::span<double>(global).first(cancellable ? 3 : 2));
-    }
-    total_rotations += global[0];
-    if (opts.stop_rule == StopRule::NoRotations) {
-      if (global[0] == 0.0) {
-        out.converged = true;
-        audit_sweep();
-        break;
-      }
+      converged = true;
+      for (std::size_t i = 0; i < topk && converged; ++i) converged = vote[m + ranking[i]] == 0.0;
+    } else if (opts.stop_rule == StopRule::NoRotations) {
+      converged = tally[0] == 0.0;
     } else {
       // off2 is accumulated from pre-rotation dot products, so it measures
       // the matrix state *entering* this sweep: when it is already below
@@ -201,19 +163,23 @@ EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering&
       const double bound = opts.stop_rule == StopRule::OffDiagonalAbsolute
                                ? opts.off_tol
                                : opts.off_tol * std::sqrt(frob2);
-      if (std::sqrt(2.0 * global[1]) <= bound) {
-        out.converged = true;
-        audit_sweep();
-        break;
-      }
+      converged = std::sqrt(2.0 * tally[1]) <= bound;
     }
-    ++out.sweeps;
-    if (cancellable && global[2] != 0.0) {
-      out.status = cancel_status(opts.cancel);
-      audit_sweep();
-      break;
+    if (converged) {
+      out.converged = true;
+      // A truncated run's converging sweep may still have rotated trailing
+      // columns; count it iff it did work (keeps topk == m bit-identical to
+      // the full NoRotations path, where the final all-skip sweep is free).
+      if (topk > 0 && tally[0] > 0.0) ++out.sweeps;
+    } else {
+      ++out.sweeps;
+      // Cancellation yields to convergence: a sweep that both converged
+      // and saw the deadline expire still delivers its result.
+      if (cancellable && tally[2] != 0.0) out.status = cancel_status(opts.cancel);
     }
-    audit_sweep();
+    if (sweep >= 1)
+      JMH_ALLOC_ASSERT_ZERO(sweep_guard, "steady-state sweep allocated (PERF.md contract)");
+    if (out.converged || out.status != RunStatus::Ok) break;
   }
 
   out.rotations = static_cast<std::size_t>(total_rotations);

@@ -9,6 +9,9 @@
 #include <thread>
 
 #include "api/solver.hpp"
+#include "common/alloc_guard.hpp"
+#include "cube/hypercube.hpp"
+#include "exec/thread_pool.hpp"
 #include "la/eigen_check.hpp"
 #include "la/onesided_jacobi.hpp"
 #include "la/sym_gen.hpp"
@@ -277,67 +280,74 @@ TEST(SolverSpec, RejectsNonDigitLeadingCharactersInIntegers) {
   }
 }
 
+// A random spec that validate() accepts: every key drawn from its legal
+// range, the cross-key rules honored. The core geometry is not checked --
+// a wide svd/pca draw may have fewer core columns than 2^(d+1).
+SolverSpec fuzz_spec(Xoshiro256& rng) {
+  const ord::OrderingKind kinds[] = {ord::OrderingKind::BR, ord::OrderingKind::PermutedBR,
+                                     ord::OrderingKind::Degree4, ord::OrderingKind::MinAlpha};
+  SolverSpec spec;
+  const Task tasks[] = {Task::Evd, Task::Svd, Task::Pca, Task::Gevd};
+  spec.task = tasks[rng.below(4)];
+  spec.backend = static_cast<Backend>(rng.below(3));
+  spec.ordering = kinds[rng.below(4)];
+  spec.d = static_cast<int>(1 + rng.below(5));
+  spec.m = (std::size_t{2} << spec.d) + rng.below(100);
+  // svd/pca may be rectangular either way; rows == m is the
+  // normalized-to-0 form, so tall is strictly taller and wide strictly
+  // wider than square.
+  if ((spec.task == Task::Svd || spec.task == Task::Pca) && rng.below(2))
+    spec.rows = rng.below(2) ? spec.m + 1 + rng.below(64) : 1 + rng.below(spec.m - 1);
+  if (spec.task == Task::Gevd) spec.bseed = 1 + rng.below(1u << 20);
+  switch (rng.below(3)) {
+    case 0: spec.pipelining = PipeliningPolicy::Off; break;
+    case 1: spec.pipelining = PipeliningPolicy::Auto; break;
+    default:
+      spec.pipelining = PipeliningPolicy::Fixed;
+      spec.q = 1 + rng.below(8);
+  }
+  spec.machine.ts = rng.uniform(0.0, 1e4);
+  spec.machine.tw = rng.uniform(0.0, 10.0);
+  spec.machine.ports = rng.below(2) ? pipe::MachineParams::kAllPort
+                                    : static_cast<int>(1 + rng.below(4));
+  spec.overlap_startup = rng.below(2) != 0;
+  spec.threshold = std::pow(10.0, -static_cast<double>(1 + rng.below(15)));
+  spec.max_sweeps = static_cast<int>(1 + rng.below(200));
+  const solve::StopRule rules[] = {solve::StopRule::NoRotations,
+                                   solve::StopRule::OffDiagonal,
+                                   solve::StopRule::OffDiagonalAbsolute};
+  spec.stop_rule = rules[rng.below(3)];
+  spec.off_tol = rng.uniform(1e-12, 1e-2);
+  spec.gershgorin_shift = spec.task == Task::Evd && rng.below(2) != 0;
+  if ((spec.task == Task::Evd || spec.task == Task::Svd) &&
+      spec.stop_rule == solve::StopRule::NoRotations && !spec.gershgorin_shift &&
+      rng.below(2)) {
+    // Truncation is capped by the CORE column count: the short side for a
+    // wide input, m otherwise.
+    const std::size_t core_cols =
+        spec.rows != 0 && spec.rows < spec.m ? spec.rows : spec.m;
+    spec.topk = static_cast<int>(1 + rng.below(core_cols));
+  }
+  if (rng.below(2)) spec.threads = 1 + rng.below(8);
+  if (rng.below(2)) spec.deadline_ms = 1 + rng.below(60000);
+  spec.trace = rng.below(2) != 0;
+  if (rng.below(3) == 0) {
+    spec.faults.seed = 1 + rng.below(1u << 30);
+    spec.faults.corrupt_rate = rng.uniform(0.0, 1.0);
+    spec.faults.delay_rate = rng.uniform(0.0, 1.0);
+    spec.faults.delay_us = rng.below(1000);
+    spec.faults.vote_fail_rate = rng.uniform(0.0, 1.0);
+  }
+  return spec;
+}
+
 // Seeded property test: any valid spec the generator can produce must
 // round-trip EXACTLY through its canonical string, and the canonical string
 // must be a fixed point of parse . to_string.
 TEST(SolverSpec, FuzzedValidSpecsRoundTripExactly) {
   Xoshiro256 rng(20260727);
-  const ord::OrderingKind kinds[] = {ord::OrderingKind::BR, ord::OrderingKind::PermutedBR,
-                                     ord::OrderingKind::Degree4, ord::OrderingKind::MinAlpha};
   for (int iter = 0; iter < 500; ++iter) {
-    SolverSpec spec;
-    const Task tasks[] = {Task::Evd, Task::Svd, Task::Pca, Task::Gevd};
-    spec.task = tasks[rng.below(4)];
-    spec.backend = static_cast<Backend>(rng.below(3));
-    spec.ordering = kinds[rng.below(4)];
-    spec.d = static_cast<int>(1 + rng.below(5));
-    spec.m = (std::size_t{2} << spec.d) + rng.below(100);
-    // svd/pca may be rectangular either way; rows == m is the
-    // normalized-to-0 form, so tall is strictly taller and wide strictly
-    // wider than square.
-    if ((spec.task == Task::Svd || spec.task == Task::Pca) && rng.below(2))
-      spec.rows = rng.below(2) ? spec.m + 1 + rng.below(64) : 1 + rng.below(spec.m - 1);
-    if (spec.task == Task::Gevd) spec.bseed = 1 + rng.below(1u << 20);
-    switch (rng.below(3)) {
-      case 0: spec.pipelining = PipeliningPolicy::Off; break;
-      case 1: spec.pipelining = PipeliningPolicy::Auto; break;
-      default:
-        spec.pipelining = PipeliningPolicy::Fixed;
-        spec.q = 1 + rng.below(8);
-    }
-    spec.machine.ts = rng.uniform(0.0, 1e4);
-    spec.machine.tw = rng.uniform(0.0, 10.0);
-    spec.machine.ports = rng.below(2) ? pipe::MachineParams::kAllPort
-                                      : static_cast<int>(1 + rng.below(4));
-    spec.overlap_startup = rng.below(2) != 0;
-    spec.threshold = std::pow(10.0, -static_cast<double>(1 + rng.below(15)));
-    spec.max_sweeps = static_cast<int>(1 + rng.below(200));
-    const solve::StopRule rules[] = {solve::StopRule::NoRotations,
-                                     solve::StopRule::OffDiagonal,
-                                     solve::StopRule::OffDiagonalAbsolute};
-    spec.stop_rule = rules[rng.below(3)];
-    spec.off_tol = rng.uniform(1e-12, 1e-2);
-    spec.gershgorin_shift = spec.task == Task::Evd && rng.below(2) != 0;
-    if ((spec.task == Task::Evd || spec.task == Task::Svd) &&
-        spec.stop_rule == solve::StopRule::NoRotations && !spec.gershgorin_shift &&
-        rng.below(2)) {
-      // Truncation is capped by the CORE column count: the short side for a
-      // wide input, m otherwise.
-      const std::size_t core_cols =
-          spec.rows != 0 && spec.rows < spec.m ? spec.rows : spec.m;
-      spec.topk = static_cast<int>(1 + rng.below(core_cols));
-    }
-    if (rng.below(2)) spec.threads = 1 + rng.below(8);
-    if (rng.below(2)) spec.deadline_ms = 1 + rng.below(60000);
-    spec.trace = rng.below(2) != 0;
-    if (rng.below(3) == 0) {
-      spec.faults.seed = 1 + rng.below(1u << 30);
-      spec.faults.corrupt_rate = rng.uniform(0.0, 1.0);
-      spec.faults.delay_rate = rng.uniform(0.0, 1.0);
-      spec.faults.delay_us = rng.below(1000);
-      spec.faults.vote_fail_rate = rng.uniform(0.0, 1.0);
-    }
-
+    const SolverSpec spec = fuzz_spec(rng);
     const std::string text = spec.to_string();
     SolverSpec back;
     ASSERT_NO_THROW(back = SolverSpec::parse(text)) << "iter " << iter << ": " << text;
@@ -385,6 +395,92 @@ TEST(SolverPlan, RejectsInfeasibleSpecs) {
   EXPECT_THROW(Solver::plan(spec), std::invalid_argument);
   spec.ordering = ord::OrderingKind::Custom;
   EXPECT_THROW(Solver::plan(spec), std::invalid_argument);
+}
+
+// Spec legality lives in SolverSpec::validate() alone, so Solver::plan and
+// parse agree: each programmatic spec below is rejected by plan AND its
+// canonical string by parse, both naming the key. Regression: the first
+// nine used to pass plan, whose checks were a partial copy of parse's, and
+// some solved to an Ok report with converged=false.
+TEST(SolverPlan, RejectsWhatParseRejects) {
+  const struct {
+    const char* key;
+    void (*edit)(SolverSpec&);
+  } cases[] = {
+      {"max_sweeps", [](SolverSpec& s) { s.max_sweeps = 0; }},
+      {"threshold", [](SolverSpec& s) { s.threshold = -1.0; }},
+      {"threshold", [](SolverSpec& s) { s.threshold = std::nan(""); }},
+      {"off_tol",
+       [](SolverSpec& s) {
+         s.stop_rule = solve::StopRule::OffDiagonal;
+         s.off_tol = 0.0;
+       }},
+      {"bseed", [](SolverSpec& s) { s.bseed = 5; }},  // task=evd has no B-side
+      {"ports",
+       [](SolverSpec& s) {
+         s.backend = Backend::Sim;
+         s.machine.ports = 0;
+       }},
+      {"tw",
+       [](SolverSpec& s) {
+         s.backend = Backend::Sim;
+         s.pipelining = PipeliningPolicy::Auto;
+         s.machine.tw = -100.0;
+       }},
+      {"faults",
+       [](SolverSpec& s) {
+         s.faults.seed = 1;
+         s.faults.corrupt_rate = 2.0;
+       }},
+      {"deadline_ms", [](SolverSpec& s) { s.deadline_ms = 5000000000; }},
+      {"d", [](SolverSpec& s) { s.d = cube::Hypercube::kMaxDimension + 1; }},
+      {"threads", [](SolverSpec& s) { s.threads = SolverSpec::kMaxThreads + 1; }},
+  };
+  // The threads case must be refused before the plan resizes the pool.
+  const std::size_t workers = exec::ThreadPool::global().workers();
+  for (const auto& c : cases) {
+    SolverSpec spec;  // m=32, d=2
+    c.edit(spec);
+    const std::string named = std::string("'") + c.key + "'";
+    const std::string text = spec.to_string();
+    try {
+      Solver::plan(spec);
+      ADD_FAILURE() << "plan must reject " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << text << " -> " << e.what();
+    }
+    try {
+      SolverSpec::parse(text);
+      ADD_FAILURE() << "parse must reject " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << text << " -> " << e.what();
+    }
+  }
+  EXPECT_EQ(exec::ThreadPool::global().workers(), workers);
+
+  // Conversely, every spec plan accepts names itself: its canonical string
+  // parses back to the same string. threads=0 keeps the shared pool as is.
+  // validate() runs once per service job group, so it must not allocate
+  // (counted in Debug builds; a no-op guard under NDEBUG).
+  Xoshiro256 rng(20260727);
+  int planned = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    SolverSpec spec = fuzz_spec(rng);
+    spec.threads = 0;
+    {
+      const common::AllocGuard guard;
+      spec.validate();
+      EXPECT_EQ(guard.allocations(), 0u) << "iter " << iter;
+    }
+    const std::size_t core_cols = spec.rows != 0 && spec.rows < spec.m ? spec.rows : spec.m;
+    if (core_cols < (std::size_t{2} << spec.d)) continue;
+    const std::string text = spec.to_string();
+    ASSERT_NO_THROW(Solver::plan(spec)) << "iter " << iter << ": " << text;
+    ASSERT_NO_THROW(EXPECT_EQ(SolverSpec::parse(text).to_string(), text))
+        << "iter " << iter << ": " << text;
+    ++planned;
+  }
+  EXPECT_GT(planned, 400);
 }
 
 TEST(SolverPlan, SolveRejectsWrongOrder) {
